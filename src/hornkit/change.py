@@ -9,7 +9,9 @@ differing in distance notion (Hamming vs. set difference) and scope
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (
@@ -20,7 +22,7 @@ from .errors import (
 )
 from .formula import CNF, KnowledgeBase
 from .hornsat import horn_sat
-from .semantics import ModelSet, enumerate_models
+from .semantics import ModelSet, dilate, enumerate_models, members, minimal, relabel
 
 
 class FormalismTag(str, Enum):
@@ -42,13 +44,12 @@ MODEL_BASED = frozenset({
 })
 
 
-def _minimal_diff_masks(diffs):
-    """Subset-minimal masks among the given xor-masks."""
-    out = []
-    for d in sorted(set(diffs), key=lambda v: (v.bit_count(), v)):
-        if not any(o & d == o for o in out):
-            out.append(d)
-    return out
+def _nearest(g: int, f: int, n: int) -> int:
+    """Models of table f at the least Hamming distance from table g."""
+    ball = g
+    while not ball & f:
+        ball = dilate(ball, n)
+    return ball & f
 
 
 def update_models(g: ModelSet, f: ModelSet, tag: FormalismTag) -> ModelSet:
@@ -58,48 +59,29 @@ def update_models(g: ModelSet, f: ModelSet, tag: FormalismTag) -> ModelSet:
         raise ValueError(f"{tag.value} is not a model-based formalism")
     if g.universe != f.universe:
         raise UniverseMismatch("update across different universes")
-    if not g.masks or not f.masks:
+    if not g or not f:
         raise EmptyModelSet("model-based update needs nonempty model sets")
-    gm = g.masks
-    fm = f.masks
-    inter = gm & fm
+    n = len(g.universe)
+    gt, ft = g.table, f.table
+    inter = gt & ft
 
-    if tag is FormalismTag.WINSLETT:
-        result = set()
-        for a in gm:
-            if a in fm:
-                result.add(a)
-                continue
-            for d in _minimal_diff_masks(a ^ b for b in fm):
-                result.add(a ^ d)
-        return ModelSet(g.universe, result)
-
-    if inter:
-        return ModelSet(g.universe, inter)
-
-    if tag is FormalismTag.DALAL:
-        best = min((a ^ b).bit_count() for a in gm for b in fm)
-        result = {b for b in fm if any((a ^ b).bit_count() == best for a in gm)}
-        return ModelSet(g.universe, result)
-
-    if tag is FormalismTag.SATOH:
-        minimal = set(_minimal_diff_masks(a ^ b for a in gm for b in fm))
-        result = {b for b in fm if any(a ^ b in minimal for a in gm)}
-        return ModelSet(g.universe, result)
-
-    if tag is FormalismTag.FORBUS:
-        result = set()
-        for a in gm:
-            best = min((a ^ b).bit_count() for b in fm)
-            result.update(b for b in fm if (a ^ b).bit_count() == best)
-        return ModelSet(g.universe, result)
-
-    # borgida: per-model subset-minimal difference
-    result = set()
-    for a in gm:
-        for d in _minimal_diff_masks(a ^ b for b in fm):
-            result.add(a ^ d)
-    return ModelSet(g.universe, result)
+    if tag is FormalismTag.WINSLETT or (tag is FormalismTag.BORGIDA and not inter):
+        # per base model outside f, the models of f at a subset-minimal
+        # difference; borgida is winslett when no base model satisfies f
+        result = reduce(or_, (relabel(minimal(relabel(ft, a, n), n), a, n)
+                              for a in members(gt & ~ft)), inter)
+    elif inter:
+        result = inter
+    elif tag is FormalismTag.DALAL:
+        result = _nearest(gt, ft, n)
+    elif tag is FormalismTag.FORBUS:
+        result = reduce(or_, (_nearest(1 << a, ft, n) for a in members(gt)))
+    else:
+        # satoh: the differences subset-minimal over all pairs
+        base = members(gt)
+        least = minimal(reduce(or_, (relabel(ft, a, n) for a in base)), n)
+        result = ft & reduce(or_, (relabel(least, a, n) for a in base))
+    return ModelSet.from_table(g.universe, result)
 
 
 def update_cnf(g: CNF, f: CNF, tag: FormalismTag,

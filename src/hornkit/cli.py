@@ -231,14 +231,17 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _universe_size(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("a universe needs at least one variable")
-    return n
+def _positive_int(message: str):
+    """argparse type for a count: an int of at least 1, else message."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
 
 
 def _fold_clause_values(argv):
@@ -319,15 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the oracle-equivalence property suites")
-    p.add_argument("--n", type=_universe_size, default=8,
+    p.add_argument("--n", type=_positive_int("a universe needs at least one variable"),
+                   default=8,
                    help="max universe size: sizes are drawn up to n, each "
                         "suite's usual minimum lowered to n when n is smaller")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int("needs at least one trial"),
+                   default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sessions", type=int, default=20,
-                   help="bracketing suite session count")
-    p.add_argument("--steps", type=int, default=10,
-                   help="updates per bracketing session")
+    p.add_argument("--sessions", type=_positive_int("needs at least one session"),
+                   default=20, help="bracketing suite session count")
+    p.add_argument("--steps", type=_positive_int("needs at least one step"),
+                   default=10, help="updates per bracketing session")
     p.add_argument("--formalism", choices=[t.value for t in FormalismTag
                                            if t.value not in ("fuv", "widtio")])
     p.add_argument("--suite", choices=("all", "fastpath", "closure", "bijection",

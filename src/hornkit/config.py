@@ -1,9 +1,12 @@
-"""Size limits guarding the brute-force operations.
+"""Size limits guarding the exact operations.
 
-All exact semantic operations are desk-scale by design; these knobs say
-where "desk scale" ends.  They are configuration, not constants: every
-operation that enumerates takes a Limits value and raises a TooLarge
-subclass beyond it.
+Exact semantic operations are desk-scale by design: a model set over n
+variables is a truth table of 2**n bits, and envelope and core searches
+grow with n and with the number of models.  These knobs say where "desk
+scale" ends.  They are configuration, not constants: every operation
+that enumerates takes a Limits value and raises a TooLarge subclass
+beyond it.  An AND-closure needs no limit of its own, since it never
+grows past the table of the universe it is taken in.
 """
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ class Limits:
     envelope_vars: int = 12      # max universe size for envelope clause search
     core_models: int = 20        # max model-set size for the exact core modes
     gap_vars: int = 12           # record upper/lower model gaps up to this size
-    closure_cap: int = 1 << 20   # abort AND-closures that grow past this
 
     def with_vars_limit(self, n: int) -> "Limits":
         return replace(self, enumeration_vars=n, envelope_vars=n, gap_vars=n)

@@ -109,9 +109,6 @@ class Clause:
     def __len__(self):
         return len(self.codes)
 
-    def width(self) -> int:
-        return len(self.codes)
-
     def is_empty(self) -> bool:
         return not self.codes
 
@@ -145,12 +142,6 @@ class Clause:
 
     def subsumes(self, other: "Clause") -> bool:
         return set(self.codes) <= set(other.codes)
-
-    def satisfied_by_mask(self, mask: int) -> bool:
-        for c in self.codes:
-            if (mask >> (c >> 1)) & 1 != c & 1:
-                return True
-        return False
 
     def tokens(self, universe: VarUniverse) -> list:
         negs = [c for c in self.codes if c & 1]

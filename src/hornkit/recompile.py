@@ -11,6 +11,7 @@ surfaced, never repaired.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -97,9 +98,9 @@ def init_compile(g: CNF, formalism: FormalismTag, *, core_mode: str = "exact-max
 def _gap_size(state: BeliefState, limits: Limits):
     if len(state.universe) > limits.gap_vars:
         return None
-    upper = enumerate_models(state.upper, limits)
-    lower = enumerate_models(state.lower, limits)
-    return len(upper.masks - lower.masks)
+    upper = enumerate_models(state.upper, limits).table
+    lower = enumerate_models(state.lower, limits).table
+    return (upper & ~lower).bit_count()
 
 
 def step(state: BeliefState, phi: CNF, *, pick="first", core_mode: str = "exact-max",
@@ -232,8 +233,16 @@ def session_from_json(text: str) -> BeliefState:
 
 
 def write_session(state: BeliefState, path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(session_to_json(state))
+    """Replace the session file in one step: a failed write leaves the old one."""
+    text = session_to_json(state)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            fp.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read_session(path) -> BeliefState:

@@ -13,7 +13,7 @@ from itertools import combinations
 from .config import DEFAULT_LIMITS, Limits
 from .errors import NotPure, ParseError, TooLarge, UniverseMismatch
 from .formula import CNF, Clause, KnowledgeBase, VarUniverse
-from .semantics import ModelSet, close_masks, in_closure
+from .semantics import ModelSet, closure, members
 
 
 @dataclass(frozen=True)
@@ -179,24 +179,16 @@ def maxmodel(m1: ModelSet, m2: ModelSet, k: int,
              limits: Limits = DEFAULT_LIMITS) -> bool:
     """Whether the intersection of the two AND-closures has a model with > k ones.
 
-    One closure is materialized (whichever stays within the cap) and each
-    of its heavy-enough models is membership-tested against the other via
-    the AND-of-supersets characterization.
+    Both closures are taken as truth tables over the common width and
+    intersected; the members of the intersection are then scanned.
     """
     if len(m1.universe) != len(m2.universe):
         raise UniverseMismatch("model sets of different widths")
     width = len(m1.universe)
     if width > limits.enumeration_vars:
         raise TooLarge(f"width {width} exceeds limit {limits.enumeration_vars}")
-    for own, other in ((m2, m1), (m1, m2)):
-        closed = close_masks(own.masks, cap=limits.closure_cap)
-        if closed is None:
-            continue
-        return any(
-            m.bit_count() > k and in_closure(m, other.masks)
-            for m in closed
-        )
-    raise TooLarge(f"both AND-closures exceed cap {limits.closure_cap}")
+    both = closure(m1.table, width) & closure(m2.table, width)
+    return any(m.bit_count() > k for m in members(both))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Exact model-set semantics at desk scale.
+"""Exact model-set semantics at desk scale, on truth tables.
 
 Models are total assignments stored as integer bit masks (bit i is the
 value of variable i); the text form writes variable 0 first, so mask 0b110
-over (x, y, z) prints as "011".  All operations here enumerate and are
-guarded by the Limits knobs; the linear-time machinery lives elsewhere.
+over (x, y, z) prints as "011".  A model set over n variables is a truth
+table: an int of 2**n bits, bit m set iff model m is a member.  Clauses,
+closures, relabelling and Hamming distance are shifts and masks over it
+(Knuth, TAOCP 4A 7.1.3).  Operations that enumerate are guarded by the
+Limits knobs; the linear-time machinery lives elsewhere.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .config import DEFAULT_LIMITS, Limits
@@ -57,7 +62,7 @@ class Model:
             raise UniverseMismatch("models of different widths")
 
     def text(self) -> str:
-        return "".join("1" if (self.mask >> v) & 1 else "0" for v in range(self.width))
+        return _mask_text(self.mask, self.width)
 
     @staticmethod
     def from_text(text: str) -> "Model":
@@ -77,43 +82,166 @@ def _mask_text(mask: int, width: int) -> str:
     return "".join("1" if (mask >> v) & 1 else "0" for v in range(width))
 
 
-class ModelSet:
-    """Deduplicated collection of equal-width models over one universe."""
+# ---------------------------------------------------------------------------
+# truth-table kernel
 
-    __slots__ = ("universe", "masks")
+
+@lru_cache(maxsize=32)
+def var_tables(n: int) -> tuple:
+    """(full, tables) over n variables: full holds all 2**n assignments,
+    tables[v] those in which variable v is true."""
+    return (1 << (1 << n)) - 1, tuple(
+        int(("1" * (1 << v) + "0" * (1 << v)) * (1 << (n - 1 - v)), 2) for v in range(n))
+
+
+def table_of(masks) -> int:
+    """Table holding the given masks, built in time linear in its length."""
+    masks = list(masks)
+    buf = bytearray((max(masks, default=0) >> 3) + 1)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def members(table: int) -> list:
+    """Members of a table in ascending order, in time linear in its length."""
+    return [bit.start() for bit in re.finditer("1", bin(table)[:1:-1])]
+
+
+def cnf_table(clauses, n: int) -> int:
+    """Assignments satisfying every clause, each given by its literal codes."""
+    full, var = var_tables(n)
+    table = full
+    for codes in clauses:
+        falsified = full
+        for code in codes:
+            falsified &= var[code >> 1] if code & 1 else ~var[code >> 1]
+        table &= ~falsified
+    return table
+
+
+def down(table: int, n: int) -> int:
+    """Assignments at or below a member (fewer true variables)."""
+    _, var = var_tables(n)
+    for v in range(n):
+        table |= (table & var[v]) >> (1 << v)
+    return table
+
+
+def _strictly_below(table: int, n: int) -> int:
+    _, var = var_tables(n)
+    step = 0
+    for v in range(n):
+        step |= (table & var[v]) >> (1 << v)
+    return down(step, n)
+
+
+def closure(table: int, n: int, below=down) -> int:
+    """AND-closure: m is a meet of members iff some member lies above m and,
+    for each false variable of m, some member above m has it false too.
+    With below=_strictly_below those members must differ from m."""
+    _, var = var_tables(n)
+    out = below(table, n)
+    for v in range(n):
+        out &= var[v] | below(table & ~var[v], n)
+    return out
+
+
+def _flip(table: int, var_table: int, shift: int) -> int:
+    return ((table & var_table) >> shift) | ((table & ~var_table) << shift)
+
+
+def relabel(table: int, mask: int, n: int) -> int:
+    """Table of {m ^ mask : m a member}."""
+    _, var = var_tables(n)
+    for v in range(n):
+        if mask >> v & 1:
+            table = _flip(table, var[v], 1 << v)
+    return table
+
+
+def dilate(table: int, n: int) -> int:
+    """Assignments within Hamming distance one of a member."""
+    _, var = var_tables(n)
+    out = table
+    for v in range(n):
+        out |= _flip(table, var[v], 1 << v)
+    return out
+
+
+def minimal(table: int, n: int) -> int:
+    """Subset-minimal members: those with no member strictly below them."""
+    _, var = var_tables(n)
+    above = 0
+    for v in range(n):
+        above |= (table & ~var[v]) << (1 << v)
+    for v in range(n):
+        above |= (above & ~var[v]) << (1 << v)
+    return table & ~above
+
+
+def _meet_image(table: int, mask: int, n: int) -> int:
+    """Table of {m & mask : m a member}: one shift per false bit of mask."""
+    _, var = var_tables(n)
+    for v in range(n):
+        if not mask >> v & 1:
+            table = (table & ~var[v]) | ((table & var[v]) >> (1 << v))
+    return table
+
+
+# ---------------------------------------------------------------------------
+# model sets
+
+
+class ModelSet:
+    """Deduplicated equal-width models over one universe, as a truth table;
+    masks, texts and models are views of it."""
+
+    __slots__ = ("universe", "table")
 
     def __init__(self, universe: VarUniverse, models=()):
         n = len(universe)
-        masks = set()
+        masks = []
         for m in models:
             if isinstance(m, Model):
                 if m.width != n:
                     raise UniverseMismatch("model width differs from universe size")
-                masks.add(m.mask)
+                masks.append(m.mask)
             else:
                 if not 0 <= m < (1 << n):
                     raise ValueError("mask outside the universe width")
-                masks.add(m)
+                masks.append(m)
         self.universe = universe
-        self.masks = frozenset(masks)
+        self.table = table_of(masks)
+
+    @classmethod
+    def from_table(cls, universe: VarUniverse, table: int) -> "ModelSet":
+        """Model set of a table already over this universe (not checked)."""
+        ms = object.__new__(cls)
+        ms.universe = universe
+        ms.table = table
+        return ms
+
+    @property
+    def masks(self) -> frozenset:
+        return frozenset(members(self.table))
 
     def __len__(self):
-        return len(self.masks)
+        return self.table.bit_count()
 
     def __bool__(self):
-        return bool(self.masks)
+        return bool(self.table)
 
     def __contains__(self, item):
-        if isinstance(item, Model):
-            return item.mask in self.masks
-        return item in self.masks
+        mask = item.mask if isinstance(item, Model) else item
+        return isinstance(mask, int) and mask >= 0 and bool(self.table >> mask & 1)
 
     def __eq__(self, other):
         return isinstance(other, ModelSet) and self.universe == other.universe \
-            and self.masks == other.masks
+            and self.table == other.table
 
     def __hash__(self):
-        return hash((self.universe, self.masks))
+        return hash((self.universe, self.table))
 
     @property
     def models(self) -> tuple:
@@ -122,18 +250,14 @@ class ModelSet:
 
     def sorted_masks(self) -> list:
         n = len(self.universe)
-        return sorted(self.masks, key=lambda m: _mask_text(m, n))
+        return sorted(members(self.table), key=lambda m: _mask_text(m, n))
 
     def texts(self) -> list:
         n = len(self.universe)
         return [_mask_text(m, n) for m in self.sorted_masks()]
 
     def and_closed(self) -> bool:
-        masks = self.masks
-        for a, b in combinations(masks, 2):
-            if a & b not in masks:
-                return False
-        return True
+        return closure(self.table, len(self.universe)) == self.table
 
     def __repr__(self):
         return f"ModelSet{{{', '.join(self.texts())}}}"
@@ -155,7 +279,7 @@ def parse_models(text: str, universe: VarUniverse) -> ModelSet:
 
 
 def format_models(ms: ModelSet) -> str:
-    return "\n".join(ms.texts()) + ("\n" if ms.masks else "")
+    return "\n".join(ms.texts()) + ("\n" if ms else "")
 
 
 # ---------------------------------------------------------------------------
@@ -163,74 +287,36 @@ def format_models(ms: ModelSet) -> str:
 
 
 def enumerate_models(cnf: CNF, limits: Limits = DEFAULT_LIMITS) -> ModelSet:
-    """All satisfying total assignments, by exhaustive enumeration."""
+    """All satisfying total assignments, as the CNF's truth table."""
     n = len(cnf.universe)
     if n > limits.enumeration_vars:
         raise UniverseTooLarge(f"{n} variables exceeds enumeration limit "
                                f"{limits.enumeration_vars}")
-    if cnf.has_empty_clause():
-        return ModelSet(cnf.universe, ())
-    specs = []
-    for cl in cnf.clauses:
-        pos = neg = 0
-        for code in cl.codes:
-            if code & 1:
-                neg |= 1 << (code >> 1)
-            else:
-                pos |= 1 << (code >> 1)
-        specs.append((pos, neg))
-    masks = []
-    for m in range(1 << n):
-        for pos, neg in specs:
-            if not m & pos and m & neg == neg:
-                break
-        else:
-            masks.append(m)
-    return ModelSet(cnf.universe, masks)
+    return ModelSet.from_table(cnf.universe, cnf_table((cl.codes for cl in cnf.clauses), n))
 
 
 def close_masks(masks, cap: int = 0):
-    """AND-closure of a set of masks; None if it grows past a nonzero cap."""
-    closed = set(masks)
-    work = list(closed)
-    while work:
-        a = work.pop()
-        for b in list(closed):
-            c = a & b
-            if c not in closed:
-                if cap and len(closed) >= cap:
-                    return None
-                closed.add(c)
-                work.append(c)
-    return closed
+    """AND-closure of a set of masks; None if it grows past a nonzero cap.
+
+    The closure is taken over the width of the widest mask.  A closure
+    that adds nothing to its input is returned whatever the cap.
+    """
+    masks = set(masks)
+    n = max(masks, default=0).bit_length()
+    closed = members(closure(table_of(masks), n))
+    if cap and len(closed) > max(cap, len(masks)):
+        return None
+    return set(closed)
 
 
-def and_closure(ms: ModelSet, limits: Limits = DEFAULT_LIMITS) -> ModelSet:
+def and_closure(ms: ModelSet) -> ModelSet:
     """Smallest superset closed under componentwise AND."""
-    closed = close_masks(ms.masks, cap=limits.closure_cap)
-    if closed is None:
-        raise SetTooLarge(f"AND-closure exceeds cap {limits.closure_cap}")
-    return ModelSet(ms.universe, closed)
+    return ModelSet.from_table(ms.universe, closure(ms.table, len(ms.universe)))
 
 
 def is_horn_representable(ms: ModelSet) -> bool:
     """True iff some Horn CNF has exactly this model set (iff AND-closed)."""
     return ms.and_closed()
-
-
-def in_closure(mask: int, masks) -> bool:
-    """Membership of mask in the AND-closure of masks, without materializing it.
-
-    mask is an AND of elements of masks iff the AND of all its supersets
-    in masks reproduces it.
-    """
-    acc = None
-    for v in masks:
-        if v & mask == mask:
-            acc = v if acc is None else acc & v
-            if acc == mask:
-                return True
-    return acc == mask if acc is not None else False
 
 
 # ---------------------------------------------------------------------------
@@ -262,48 +348,27 @@ def envelope_from_models(ms: ModelSet, limits: Limits = DEFAULT_LIMITS) -> CNF:
     if n > limits.envelope_vars:
         raise UniverseTooLarge(f"{n} variables exceeds envelope limit "
                                f"{limits.envelope_vars}")
-    closure = close_masks(ms.masks)
-    if not closure:
+    target = closure(ms.table, n)
+    if not target:
         return CNF(ms.universe, (Clause.from_codes(()),))
-    target = len(closure)
-    sat = set(range(1 << n))
-    if len(sat) == target:
-        return CNF(ms.universe, ())
+    sat = var_tables(n)[0]
     kept = []
-    kept_sets = []
     for width in range(1, n + 1):
+        if sat == target:
+            break
         for codes in _horn_clause_candidates(n, width):
-            pos = neg = 0
-            for code in codes:
-                if code & 1:
-                    neg |= 1 << (code >> 1)
-                else:
-                    pos |= 1 << (code >> 1)
-            fs = frozenset(codes)
-            if any(ks <= fs for ks in kept_sets):
-                continue
-            ok = True
-            for m in closure:
-                if not m & pos and m & neg == neg:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            new_sat = {m for m in sat if m & pos or m & neg != neg}
-            if len(new_sat) == len(sat):
+            table = cnf_table((codes,), n)
+            if target & ~table or sat & table == sat:
                 continue
             kept.append(codes)
-            kept_sets.append(fs)
-            sat = new_sat
-            if len(sat) == target:
+            sat &= table
+            if sat == target:
                 break
-        if len(sat) == target:
-            break
     # drop clauses made redundant by combinations kept later
     i = 0
     while i < len(kept):
         rest = kept[:i] + kept[i + 1:]
-        if _model_count(rest, n) == target:
+        if cnf_table(rest, n) == target:
             kept = rest
         else:
             i += 1
@@ -311,87 +376,44 @@ def envelope_from_models(ms: ModelSet, limits: Limits = DEFAULT_LIMITS) -> CNF:
     return CNF(ms.universe, clauses).canonical()
 
 
-def _model_count(clause_codes, n):
-    specs = []
-    for codes in clause_codes:
-        pos = neg = 0
-        for code in codes:
-            if code & 1:
-                neg |= 1 << (code >> 1)
-            else:
-                pos |= 1 << (code >> 1)
-        specs.append((pos, neg))
-    count = 0
-    for m in range(1 << n):
-        for pos, neg in specs:
-            if not m & pos and m & neg == neg:
-                break
-        else:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Horn cores
 
 
-def _close_into(base: frozenset, mask: int, allowed: frozenset):
-    """Closure of base + mask if it stays inside allowed, else None."""
-    closed = set(base)
-    work = [mask]
-    if mask not in allowed:
-        return None
-    while work:
-        a = work.pop()
-        if a in closed:
-            continue
-        closed.add(a)
-        for b in list(closed):
-            c = a & b
-            if c not in closed:
-                if c not in allowed:
-                    return None
-                work.append(c)
-    return frozenset(closed)
+def _grow(closed: int, mask: int, allowed: int, n: int):
+    """Closure of an AND-closed table plus mask, or None if it leaves allowed."""
+    grown = closed | 1 << mask | _meet_image(closed, mask, n)
+    return None if grown & ~allowed else grown
 
 
-def maximal_closed_subsets(masks) -> list:
-    """All maximal AND-closed subsets of a set of masks."""
-    allowed = frozenset(masks)
-    order = sorted(allowed)
+def maximal_closed_subsets(allowed: int, n: int) -> list:
+    """Tables of all maximal AND-closed subsets of the table allowed."""
+    order = members(allowed)
     results = set()
 
-    def leaf(sub):
-        for m in allowed - sub:
-            if _close_into(sub, m, allowed) is not None:
-                return
-        results.add(sub)
-
     def dfs(sub, idx, banned):
-        while idx < len(order) and order[idx] in sub:
+        while idx < len(order) and sub >> order[idx] & 1:
             idx += 1
         if idx == len(order):
-            leaf(sub)
+            if all(sub >> m & 1 or _grow(sub, m, allowed, n) is None for m in order):
+                results.add(sub)
             return
         m = order[idx]
-        grown = _close_into(sub, m, allowed)
-        if grown is None:
-            dfs(sub, idx + 1, banned)
-            return
-        if not grown & banned:
+        grown = _grow(sub, m, allowed, n)
+        if grown is not None and not grown & banned:
             dfs(grown, idx + 1, banned)
-        dfs(sub, idx + 1, banned | {m})
+        # a model that cannot join sub cannot join any closed superset of it
+        dfs(sub, idx + 1, banned | 1 << m)
 
-    dfs(frozenset(), 0, frozenset())
-    return sorted(results, key=lambda s: (-len(s), sorted(s)))
+    dfs(0, 0, 0)
+    return list(results)
 
 
-def greedy_closed_subset(masks) -> frozenset:
+def greedy_closed_subset(allowed: int, n: int) -> int:
     """One maximal AND-closed subset, grown in descending popcount order."""
-    allowed = frozenset(masks)
-    chosen = frozenset()
-    for m in sorted(allowed, key=lambda v: (-v.bit_count(), v)):
-        grown = _close_into(chosen, m, allowed)
+    chosen = 0
+    for m in sorted(members(allowed), key=lambda v: (-v.bit_count(), v)):
+        grown = _grow(chosen, m, allowed, n)
         if grown is not None:
             chosen = grown
     return chosen
@@ -408,20 +430,20 @@ def cores_from_models(ms: ModelSet, mode: str = "exact-max",
     if mode not in ("exact-max", "greedy", "all-exact"):
         raise ValueError(f"unknown core mode {mode!r}")
     n = len(ms.universe)
-    if not ms.masks:
+    if not ms:
         return [envelope_from_models(ms, limits)]
     if mode == "greedy":
-        subsets = [greedy_closed_subset(ms.masks)]
+        tables = [greedy_closed_subset(ms.table, n)]
     else:
-        if len(ms.masks) > limits.core_models:
-            raise SetTooLarge(f"{len(ms.masks)} models exceeds exact core limit "
+        if len(ms) > limits.core_models:
+            raise SetTooLarge(f"{len(ms)} models exceeds exact core limit "
                               f"{limits.core_models}")
-        subsets = maximal_closed_subsets(ms.masks)
-        subsets.sort(key=lambda s: (-len(s), tuple(_mask_text(m, n) for m in
-                                                   sorted(s, key=lambda v: _mask_text(v, n)))))
-        if mode == "exact-max":
-            subsets = subsets[:1]
-    return [envelope_from_models(ModelSet(ms.universe, s), limits) for s in subsets]
+        tables = maximal_closed_subsets(ms.table, n)
+    subsets = [ModelSet.from_table(ms.universe, t) for t in tables]
+    subsets.sort(key=lambda s: (-len(s), s.texts()))
+    if mode == "exact-max":
+        subsets = subsets[:1]
+    return [envelope_from_models(s, limits) for s in subsets]
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +458,5 @@ def characteristic_models(ms: ModelSet) -> ModelSet:
     """
     if not ms.and_closed():
         raise NotClosed("model set is not closed under componentwise AND")
-    chars = []
-    for m in ms.masks:
-        acc = None
-        for v in ms.masks:
-            if v != m and v & m == m:
-                acc = v if acc is None else acc & v
-        if acc is None or acc != m:
-            chars.append(m)
-    return ModelSet(ms.universe, chars)
+    generated = closure(ms.table, len(ms.universe), _strictly_below)
+    return ModelSet.from_table(ms.universe, ms.table & ~generated)

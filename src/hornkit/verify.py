@@ -57,7 +57,7 @@ def _fastpath_mismatch(g, phi, tag, limits):
         return "unexpected fallback on an inconsistent update"
     exact = update_models(enumerate_models(g, limits),
                           enumerate_models(CNF(g.universe, (phi,)), limits), tag)
-    closure = and_closure(exact, limits)
+    closure = and_closure(exact)
     if enumerate_models(envelope, limits) != closure:
         return "envelope models differ from the closure of the exact update"
     exact_masks = exact.masks
@@ -103,8 +103,8 @@ def run_closure_suite(n, trials, seed, out, limits=DEFAULT_LIMITS) -> bool:
     rng = random.Random(seed)
     for _ in range(trials):
         ms = random_model_set(rng, rng.randint(min(2, n), n))
-        closed = and_closure(ms, limits)
-        if and_closure(closed, limits) != closed:
+        closed = and_closure(ms)
+        if and_closure(closed) != closed:
             out(f"closure: FAIL (not idempotent on {ms.texts()})")
             return False
         chars = characteristic_models(closed)

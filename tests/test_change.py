@@ -102,6 +102,16 @@ def test_update_models_against_definitions():
         for tag in TAGS:
             assert update_models(g, f, tag).masks == \
                 frozenset(closest_updates_brute(g, f, tag))
+    # small sets in wide tables, some sharing a model with the base
+    for n in (11, 12, 13):
+        for _ in range(20):
+            g = random_model_set(rng, n, max_size=6)
+            f = random_model_set(rng, n, max_size=6)
+            if rng.random() < 0.3:
+                f = ModelSet(f.universe, f.masks | {rng.choice(sorted(g.masks))})
+            for tag in TAGS:
+                assert update_models(g, f, tag).masks == \
+                    frozenset(closest_updates_brute(g, f, tag))
 
 
 def test_update_results_stay_inside_update_models():

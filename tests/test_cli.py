@@ -287,7 +287,18 @@ def test_verify_trivial(capsys):
 
 
 def test_verify_rejects_empty_universe(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--n", "0"])
-    assert exc.value.code == 2
-    assert "at least one variable" in capsys.readouterr().err
+    cases = [
+        (["--n", "0"], "at least one variable"),
+        (["--n", "3", "--trials", "-5"], "at least one trial"),
+        (["--trials", "0"], "at least one trial"),
+        (["--sessions", "-2"], "at least one session"),
+        (["--sessions", "0"], "at least one session"),
+        (["--steps", "0"], "at least one step"),
+        (["--steps", "-1"], "at least one step"),
+        (["--trials", "many"], "invalid int value"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -20,7 +21,9 @@ from hornkit import (
     session_to_json,
     step,
     update_models,
+    write_session,
 )
+from hornkit import recompile
 from hornkit.generators import random_clause, random_satisfiable_horn
 
 from oracle import models_brute
@@ -184,3 +187,26 @@ def test_session_log_contents():
     assert rec.phi == cnf(XYZ, "-x y").canonical()
     assert rec.core_pick == 1
     assert rec.path == "fast"
+
+
+def test_write_session_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    state = init_horn(cnf(XYZ, "x"), FormalismTag.DALAL)
+    write_session(state, path)
+    before = path.read_bytes()
+    stepped = step(state, cnf(XYZ, "-x y"))
+
+    def fail(*args):
+        raise RuntimeError("write failed")
+
+    # fail before the temporary file exists, then after it is written
+    for module, name in ((recompile, "session_to_json"), (os, "replace")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fail)
+            with pytest.raises(RuntimeError):
+                write_session(stepped, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+    write_session(stepped, path)
+    assert path.read_text() == session_to_json(stepped)
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]

@@ -63,12 +63,32 @@ def test_enumerate_matches_oracle():
     for _ in range(300):
         f = random_cnf(rng, rng.randint(1, 8), max_clauses=8)
         assert enumerate_models(f).masks == frozenset(models_brute(f))
+    for n in (12, 13, 14):
+        for _ in range(3):
+            f = random_cnf(rng, n, max_clauses=8)
+            assert enumerate_models(f).masks == frozenset(models_brute(f))
 
 
 def test_enumerate_limit():
     wide = VarUniverse(tuple(f"x{i}" for i in range(25)))
     with pytest.raises(UniverseTooLarge):
         enumerate_models(CNF(wide))
+    # at the limit itself the count is exact: k unit clauses leave 2**(20-k)
+    at_limit = VarUniverse(tuple(f"x{i}" for i in range(20)))
+    for k in (0, 1, 7, 20):
+        units = tuple(Clause.from_codes((2 * v + v % 2,)) for v in range(k))
+        assert len(enumerate_models(CNF(at_limit, units))) == 1 << (20 - k)
+
+
+def test_sparse_model_set_views():
+    universe = VarUniverse(tuple(f"x{i}" for i in range(20)))
+    masks = [0, 5, 1 << 19, (1 << 20) - 1, 0b1010 << 12]
+    ms = ModelSet(universe, masks)
+    assert ms.masks == frozenset(masks)
+    assert len(ms) == len(masks)
+    assert ms.texts() == sorted(Model(m, 20).text() for m in masks)
+    assert [m.mask for m in ms.models] == ms.sorted_masks()
+    assert all(m in ms for m in masks) and 6 not in ms
 
 
 def test_and_closure_examples():
@@ -76,6 +96,10 @@ def test_and_closure_examples():
     assert and_closure(ms).texts() == ["00", "01", "10"]
     singleton = ModelSet(XYZ, [Model.from_text("111")])
     assert and_closure(singleton) == singleton
+    # 21 models whose closure holds 2**21 - 1: more than 2**20, yet one table
+    wide = VarUniverse(tuple(f"x{i}" for i in range(21)))
+    top = (1 << 21) - 1
+    assert len(and_closure(ModelSet(wide, [top ^ 1 << v for v in range(21)]))) == top
 
 
 def test_and_closure_idempotent_on_random_sets():
@@ -85,6 +109,11 @@ def test_and_closure_idempotent_on_random_sets():
         closed = and_closure(ms)
         assert and_closure(closed) == closed
         assert closed.masks == frozenset(closure_brute(ms.masks))
+    for n in (12, 13, 14):
+        for _ in range(20):
+            ms = random_model_set(rng, n, max_size=8)
+            assert and_closure(ms).masks == frozenset(closure_brute(ms.masks))
+            assert close_masks(ms.masks) == closure_brute(ms.masks)
 
 
 def test_is_horn_representable():
