@@ -22,7 +22,7 @@ from .errors import (
     UniverseTooLarge,
     UnsatisfiableBase,
 )
-from .formula import CNF, parse_clause, parse_formula
+from .formula import CNF, parse_clause, parse_formula, read_text
 from .recompile import (
     check_bracket,
     init_compile,
@@ -59,14 +59,6 @@ EXIT_UNIVERSE = 5
 QUERY_EXITS = {"Yes": 0, "No": 10, "Unknown": 11, "ContradictoryBounds": 12}
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            return fp.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
 def _limits(args):
     limits = DEFAULT_LIMITS
     if getattr(args, "vars_limit", None):
@@ -78,7 +70,7 @@ def _limits(args):
 
 def cmd_compile(args) -> int:
     limits = _limits(args)
-    cnf = parse_formula(_read(args.input), args.format)
+    cnf = parse_formula(read_text(args.input), args.format)
     try:
         models = enumerate_models(cnf, limits)
         if not models:
@@ -99,7 +91,7 @@ def cmd_compile(args) -> int:
 def _parse_update_formula(args, universe) -> CNF:
     if args.clause is not None:
         return CNF(universe, (parse_clause(args.clause, universe),))
-    text = _read(args.clause_file)
+    text = read_text(args.clause_file)
     clauses = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -142,7 +134,7 @@ def cmd_query(args) -> int:
 
 def cmd_session_new(args) -> int:
     limits = _limits(args)
-    cnf = parse_formula(_read(args.formula), args.format)
+    cnf = parse_formula(read_text(args.formula), args.format)
     tag = FormalismTag(args.formalism)
     try:
         if cnf.horn() and not args.compile:
@@ -193,7 +185,7 @@ def cmd_verify(args) -> int:
 
 def cmd_reduce(args) -> int:
     limits = _limits(args)
-    text = _read(args.input)
+    text = read_text(args.input)
     try:
         if args.kind == "transversal":
             h = parse_hypergraph(text)

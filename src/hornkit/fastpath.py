@@ -5,6 +5,8 @@ body variables forced true (and its head forced false) conjoined with a
 remainder obtained by substitution.  The updated envelope and the k
 candidate cores are then emitted directly as Horn CNF, without ever
 enumerating models; all five model-based formalisms coincide on this case.
+Each is the remainder plus a few added clauses and is not canonicalised:
+canonical form is an output format, applied where a bound is written out.
 """
 from __future__ import annotations
 
@@ -20,14 +22,11 @@ from .formula import CNF, Clause, condition
 from .hornsat import horn_sat
 
 
-def _unit(var: int, positive: bool) -> Clause:
-    return Clause.from_codes((2 * var + (0 if positive else 1),))
-
-
 def fast_update(g: CNF, phi: Clause, tag: FormalismTag):
     """Envelope and core list for a Horn base updated by a Horn clause.
 
-    Returns (envelope, cores); cores are listed in canonical order.  When
+    Returns (envelope, cores).  The cores are listed in the order of their
+    canonical forms, but no result is itself in canonical form.  When
     the base is consistent with the clause the result is simply their
     conjunction, except under winslett whose projection semantics has no
     known fast construction for that case (NeedsSemanticFallback).
@@ -49,39 +48,32 @@ def fast_update(g: CNF, phi: Clause, tag: FormalismTag):
         if tag is FormalismTag.WINSLETT:
             raise NeedsSemanticFallback(
                 "winslett prefers the projection even when base and clause agree")
-        merged = combined.canonical()
-        return merged, [merged]
+        return combined, [combined]
 
     # base contradicts the clause: every body variable is forced true and
     # the head (if any) false, so the remainder drops out by substitution
-    body = list(phi.neg_vars())
-    head = phi.head_var()
-    assignment = {v: True for v in body}
-    if head is not None:
-        assignment[head] = False
-    remainder = condition(g, assignment)
-
-    if head is None:
-        envelope = remainder.extend((phi,)).canonical()
-        cores = []
-        for i in body:
-            extra = [_unit(i, False)]
-            extra.extend(_unit(j, True) for j in body if j != i)
-            cores.append(remainder.extend(extra).canonical())
-    elif not body:
-        envelope = remainder.extend((_unit(head, True),)).canonical()
-        cores = [envelope]
-    else:
-        extra = [Clause.from_codes(tuple(sorted((2 * head + 1, 2 * i)))) for i in body]
-        envelope = remainder.extend(extra + [phi]).canonical()
-        cores = []
-        for i in body:
-            extra = [_unit(j, True) for j in body if j != i]
-            extra.append(Clause.from_codes(tuple(sorted((2 * i + 1, 2 * head)))))
-            extra.append(Clause.from_codes(tuple(sorted((2 * head + 1, 2 * i)))))
-            cores.append(remainder.extend(extra).canonical())
-    cores.sort(key=CNF.sort_key)
-    return envelope, cores
+    body, heads = phi.neg_vars(), phi.pos_vars()
+    remainder = condition(g, {**dict.fromkeys(body, True), **dict.fromkeys(heads, False)})
+    # ¬h ∨ i for each body variable i: wherever the head holds, so does i
+    back = {i: [Clause.from_codes((2 * h + 1, 2 * i)) for h in heads] for i in body}
+    envelope_added = [cl for i in body for cl in back[i]] + [phi]
+    # core i drops body variable i: the other body variables are facts and
+    # i becomes ¬i (no head) or equivalent to the head.  With one body
+    # variable this is the envelope's list, in the envelope's order; with
+    # none, the envelope is the one core.
+    cores_added = [
+        [Clause.from_codes((2 * j,)) for j in body if j != i] + back[i]
+        + [Clause.from_codes([2 * i + 1] + [2 * h for h in heads])]
+        for i in body
+    ] or [envelope_added]
+    # Canonical core order: a core's added clauses E mention only assigned
+    # variables, the remainder R none, R has no empty clause (g entails the
+    # assignment) and no clause of E subsumes another.  So canonical(R ∪ E) = canonical(R) ∪ E,
+    # all Es have one size, and these merged lists compare as the sorted Es.
+    # Conditioning preserves subsumption: canonical(R) is one whether or not
+    # g was canonical.
+    cores_added.sort(key=lambda added: sorted(map(Clause.sort_key, added)))
+    return remainder.extend(envelope_added), [remainder.extend(a) for a in cores_added]
 
 
 def fast_update_pick(g: CNF, phi: Clause, tag: FormalismTag, pick="first"):

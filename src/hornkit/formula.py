@@ -66,9 +66,6 @@ class Literal:
     def from_code(code: int) -> "Literal":
         return Literal(code >> 1, not code & 1)
 
-    def negated(self) -> "Literal":
-        return Literal(self.var, not self.positive)
-
     def token(self, universe: VarUniverse) -> str:
         name = universe.names[self.var]
         return name if self.positive else "-" + name
@@ -140,9 +137,6 @@ class Clause:
     def sort_key(self):
         return (len(self.codes), self.codes)
 
-    def subsumes(self, other: "Clause") -> bool:
-        return set(self.codes) <= set(other.codes)
-
     def tokens(self, universe: VarUniverse) -> list:
         negs = [c for c in self.codes if c & 1]
         poss = [c for c in self.codes if not c & 1]
@@ -195,11 +189,6 @@ class CNF:
     def extend(self, clauses) -> "CNF":
         return CNF(self.universe, self.clauses + tuple(clauses))
 
-    def conjoin(self, other: "CNF") -> "CNF":
-        if self.universe != other.universe:
-            raise UniverseMismatch("conjoining CNFs over different universes")
-        return CNF(self.universe, self.clauses + other.clauses)
-
     def canonical(self) -> "CNF":
         """Sorted, deduplicated, subsumption-free equivalent."""
         uniq = sorted(set(self.clauses), key=Clause.sort_key)
@@ -230,9 +219,6 @@ class CNF:
             for code in cl.codes:
                 occ.setdefault(code, []).append(idx)
         return CNF(self.universe, tuple(kept))
-
-    def sort_key(self):
-        return tuple(cl.sort_key() for cl in self.clauses)
 
     def one_line(self) -> str:
         """Single-line rendering: bare unit literals, parenthesized wider clauses."""
@@ -363,6 +349,15 @@ def condition(cnf: CNF, assignment) -> CNF:
 
 # ---------------------------------------------------------------------------
 # file formats
+
+
+def read_text(path) -> str:
+    """A file's text; a file that cannot be read raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return fp.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def parse_symbolic(text: str) -> CNF:

@@ -6,7 +6,8 @@ and the lower bound by a Horn core of its update, taking the linear fast
 path whenever the update is a single Horn clause it can handle.  Queries
 answer three-valued from the two bounds in linear time; the bounds may
 stop bracketing each other under the non-additive formalisms, which is
-surfaced, never repaired.
+surfaced, never repaired.  Bounds keep the form their construction
+gives; a session is written, and the bracket checked, in canonical form.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import (
     UnsatisfiableUpdate,
 )
 from .fastpath import fast_update, fast_update_pick
-from .formula import CNF, Clause, VarUniverse, parse_clause
+from .formula import CNF, Clause, VarUniverse, parse_clause, read_text
 from .hornsat import entails, entails_cnf, horn_sat
 from .semantics import cores_from_models, enumerate_models, envelope_from_models
 
@@ -171,8 +172,9 @@ def query(state: BeliefState, psi: Clause) -> QueryVerdict:
 
 
 def check_bracket(state: BeliefState) -> bool:
-    """Whether the lower bound still entails the upper bound."""
-    return entails_cnf(state.lower, state.upper)
+    """Whether the lower bound entails the upper, both taken in canonical
+    form: each subsumed clause a fast step left would cost a linear test."""
+    return entails_cnf(state.lower.canonical(), state.upper.canonical())
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +188,27 @@ def _cnf_to_json(cnf: CNF):
 def _cnf_from_json(data, universe: VarUniverse) -> CNF:
     clauses = tuple(parse_clause(" ".join(tokens), universe) for tokens in data)
     return CNF(universe, clauses)
+
+
+def _bound_from_json(data, universe: VarUniverse, name: str) -> CNF:
+    bound = _cnf_from_json(data, universe)
+    if not bound.horn():
+        raise ParseError(f"bad session file: {name} bound is not Horn")
+    if horn_sat(bound) is None:
+        raise ParseError(f"bad session file: {name} bound is unsatisfiable")
+    return bound
+
+
+def _record_from_json(rec, universe: VarUniverse) -> StepRecord:
+    path, core_pick, gap = rec["path"], rec["core_pick"], rec.get("gap")
+    if path not in ("fast", "semantic"):
+        raise ParseError(f"bad session file: unknown path {path!r}")
+    # bool is an int subclass, but true/false are no counts
+    if type(core_pick) is not int or core_pick < 0:
+        raise ParseError(f"bad session file: bad core_pick {core_pick!r}")
+    if gap is not None and (type(gap) is not int or gap < 0):
+        raise ParseError(f"bad session file: bad gap {gap!r}")
+    return StepRecord(_cnf_from_json(rec["phi"], universe), path, core_pick, gap)
 
 
 def session_to_json(state: BeliefState) -> str:
@@ -209,6 +232,8 @@ def session_to_json(state: BeliefState) -> str:
 
 
 def session_from_json(text: str) -> BeliefState:
+    """Belief state from session JSON; ParseError unless both bounds are
+    satisfiable Horn formulas and every log entry is well formed."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -216,17 +241,9 @@ def session_from_json(text: str) -> BeliefState:
     try:
         universe = VarUniverse(doc["vars"])
         formalism = _require_model_based(doc["formalism"])
-        lower = _cnf_from_json(doc["lower"], universe)
-        upper = _cnf_from_json(doc["upper"], universe)
-        log = tuple(
-            StepRecord(
-                phi=_cnf_from_json(rec["phi"], universe),
-                path=rec["path"],
-                core_pick=int(rec["core_pick"]),
-                gap=rec.get("gap"),
-            )
-            for rec in doc.get("log", ())
-        )
+        lower = _bound_from_json(doc["lower"], universe, "lower")
+        upper = _bound_from_json(doc["upper"], universe, "upper")
+        log = tuple(_record_from_json(rec, universe) for rec in doc.get("log", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad session file: {exc}") from exc
     return BeliefState(universe, lower, upper, formalism, log)
@@ -246,5 +263,4 @@ def write_session(state: BeliefState, path) -> None:
 
 
 def read_session(path) -> BeliefState:
-    with open(path, "r", encoding="utf-8") as fp:
-        return session_from_json(fp.read())
+    return session_from_json(read_text(path))

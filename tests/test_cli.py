@@ -183,6 +183,62 @@ def test_update_query_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("query", "--clause", "x"),
+    ("update", "--clause", "-x y"),
+])
+def test_missing_session_file_exits_2(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.json")
+    code = main([argv[0], missing, *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+def _session_doc(**changes):
+    doc = {"vars": ["x", "y"], "formalism": "dalal", "lower": [["x"]],
+           "upper": [["x"]],
+           "log": [{"phi": [["x"]], "path": "fast", "core_pick": 1, "gap": 0}]}
+    record = changes.pop("record", {})
+    doc["log"][0].update(record)
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _session_doc(lower=[["x", "y"]]),
+    _session_doc(upper=[["-x"], ["x", "y"]]),
+    _session_doc(lower=[["x"], ["-x"]]),
+    _session_doc(upper=[[]]),
+    _session_doc(record={"path": "warp"}),
+    _session_doc(record={"core_pick": "7"}),
+    _session_doc(record={"core_pick": -1}),
+    _session_doc(record={"core_pick": True}),
+    _session_doc(record={"gap": "lots"}),
+    _session_doc(record={"gap": False}),
+    _session_doc(record={"gap": -3}),
+], ids=["lower-not-horn", "upper-not-horn", "lower-unsat", "upper-empty-clause",
+        "path", "core-pick-text", "core-pick-negative", "core-pick-bool",
+        "gap-text", "gap-bool", "gap-negative"])
+def test_invalid_session_file_exits_2(capsys, tmp_path, doc):
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps(doc))
+    for argv in (("query", str(state), "--clause", "x"),
+                 ("update", str(state), "--clause", "y")):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: bad session file") and err.count("\n") == 1
+    assert json.loads(state.read_text()) == doc
+
+
+def test_valid_session_doc_loads(capsys, tmp_path):
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps(_session_doc(record={"gap": None})))
+    code, out = run(capsys, "query", str(state), "--clause", "x")
+    assert (code, out) == (0, "Yes\n")
+
+
 def test_session_files_byte_identical(capsys, tmp_path, gamma0_file):
     phi = tmp_path / "phi.cnf"
     phi.write_text("-x\n-y\n")

@@ -13,9 +13,11 @@ from hornkit import (
     UnsatisfiableUpdate,
     VarUniverse,
     and_closure,
+    condition,
     enumerate_models,
     fast_update,
     fast_update_pick,
+    horn_sat,
     parse_clause,
     update_cnf,
 )
@@ -179,3 +181,74 @@ def test_consistent_case_matches_oracle():
         exact = update_cnf(g, CNF(g.universe, (phi,)), FormalismTag.DALAL)
         assert models_brute(envelope) == closure_brute(exact.masks)
         done += 1
+
+
+def _reference_fast_update(g, phi):
+    """Reference: the fast path's construction for a base contradicting phi,
+    one builder per clause shape, with the envelope and every core
+    canonicalised and the cores sorted on their canonical clause lists."""
+    def unit(var, positive):
+        return Clause.from_codes((2 * var + (0 if positive else 1),))
+
+    body = list(phi.neg_vars())
+    head = phi.head_var()
+    assignment = {v: True for v in body}
+    if head is not None:
+        assignment[head] = False
+    remainder = condition(g, assignment)
+    if head is None:
+        envelope = remainder.extend((phi,)).canonical()
+        cores = []
+        for i in body:
+            extra = [unit(i, False)]
+            extra.extend(unit(j, True) for j in body if j != i)
+            cores.append(remainder.extend(extra).canonical())
+    elif not body:
+        envelope = remainder.extend((unit(head, True),)).canonical()
+        cores = [envelope]
+    else:
+        extra = [Clause.from_codes((2 * head + 1, 2 * i)) for i in body]
+        envelope = remainder.extend(extra + [phi]).canonical()
+        cores = []
+        for i in body:
+            extra = [unit(j, True) for j in body if j != i]
+            extra.append(Clause.from_codes((2 * i + 1, 2 * head)))
+            extra.append(Clause.from_codes((2 * head + 1, 2 * i)))
+            cores.append(remainder.extend(extra).canonical())
+    cores.sort(key=lambda c: [cl.sort_key() for cl in c.clauses])
+    return envelope, cores
+
+
+def test_fast_update_canonical_forms_match_reference():
+    rng = random.Random(34)
+    shapes = set()
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        g = random_satisfiable_horn(rng, n, max_clauses=2 * n, unit_bias=0.8)
+        minimal = horn_sat(g)
+        entailed_true = [v for v in range(n) if minimal.bit(v)]
+        entailed_false = [v for v in range(n) if not minimal.bit(v) and
+                          horn_sat(g.extend((Clause.from_codes((2 * v,)),))) is None]
+        shape = rng.choice(("no head", "no body", "body and head"))
+        if shape == "no body":
+            if not entailed_false:
+                continue
+            codes = [2 * rng.choice(entailed_false)]
+        else:
+            size = rng.randint(1, 5)
+            if len(entailed_true) < size or (shape == "body and head" and not entailed_false):
+                continue
+            codes = [2 * v + 1 for v in rng.sample(entailed_true, size)]
+            if shape == "body and head":
+                codes.append(2 * rng.choice(entailed_false))
+        shapes.add((shape, len(codes)))
+        phi = Clause.from_codes(codes)
+        want_envelope, want_cores = _reference_fast_update(g, phi)
+        for tag in TAGS:
+            envelope, cores = fast_update(g, phi, tag)
+            assert envelope.canonical() == want_envelope
+            assert [c.canonical() for c in cores] == want_cores
+            for k, want in enumerate(want_cores, start=1):
+                assert fast_update_pick(g, phi, tag, k)[1].canonical() == want
+    assert {shape for shape, _ in shapes} == {"no head", "no body", "body and head"}
+    assert {size for shape, size in shapes if shape == "no head"} == {1, 2, 3, 4, 5}

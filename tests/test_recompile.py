@@ -2,6 +2,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hornkit import (
     CNF,
@@ -24,7 +26,11 @@ from hornkit import (
     write_session,
 )
 from hornkit import recompile
-from hornkit.generators import random_clause, random_satisfiable_horn
+from hornkit.generators import (
+    contradicting_horn_clause,
+    random_clause,
+    random_satisfiable_horn,
+)
 
 from oracle import models_brute
 
@@ -178,6 +184,27 @@ def test_session_roundtrip_and_determinism():
     assert len(again.log) == 1
     assert again.log[0].path == state.log[0].path
     assert session_to_json(again) == text
+
+
+@settings(max_examples=50, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(3, 8),
+       steps=st.integers(1, 4), tag=st.sampled_from(NON_ADDITIVE))
+def test_fast_steps_session_round_trip(rng, n, steps, tag):
+    # fast steps leave the bounds out of canonical form; a written and
+    # reloaded session must step to the same bytes as the in-memory one
+    state = init_horn(random_satisfiable_horn(rng, n), tag)
+    for _ in range(steps):
+        # a clause the lower bound contradicts has one core per body variable
+        clause = contradicting_horn_clause(rng, state.lower)
+        pick = rng.randint(1, len(clause.neg_vars())) if clause else 1
+        clause = clause or random_clause(rng, n, horn=True)
+        text = session_to_json(state)
+        loaded = session_from_json(text)
+        assert session_to_json(loaded) == text
+        phi = CNF(state.universe, (clause,))
+        state = step(state, phi, pick=pick)
+        assert state.log[-1].path == "fast"
+        assert session_to_json(step(loaded, phi, pick=pick)) == session_to_json(state)
 
 
 def test_session_log_contents():
