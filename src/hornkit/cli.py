@@ -1,9 +1,10 @@
 """Command-line surface: compile, update, query, verify, reduce, session.
 
 Exit codes are a stable contract: 0 success (query Yes), 1 verify
-mismatch, 2 parse error, 3 limit exceeded or refused fallback, 4
-unsatisfiable compile input, 5 universe too large on update, and the
-query verdicts No/Unknown/ContradictoryBounds map to 10/11/12.
+mismatch, 2 bad input, 3 limit exceeded or refused fallback, 4
+unsatisfiable input, 5 universe too large on update, and the query
+verdicts No/Unknown/ContradictoryBounds map to 10/11/12.  Commands raise;
+`main` maps each error to its code through EXIT_CODES.
 """
 from __future__ import annotations
 
@@ -14,13 +15,15 @@ from dataclasses import replace
 from .change import FormalismTag
 from .config import DEFAULT_LIMITS
 from .errors import (
-    HornkitError,
+    BadIndex,
     NeedsSemanticFallback,
+    NotPure,
     ParseError,
     TautologicalClause,
     TooLarge,
     UniverseTooLarge,
     UnsatisfiableBase,
+    UnsatisfiableUpdate,
 )
 from .formula import CNF, parse_clause, parse_formula, read_text
 from .recompile import (
@@ -52,11 +55,24 @@ from .verify import (
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_PARSE = 2
+EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_UNSAT = 4
 EXIT_UNIVERSE = 5
 QUERY_EXITS = {"Yes": 0, "No": 10, "Unknown": 11, "ContradictoryBounds": 12}
+
+# The errors CLI input can reach, most specific class first; any other
+# error is a bug and ends in a traceback.
+EXIT_CODES = {
+    ParseError: EXIT_INPUT,          # and UnknownVariable
+    TautologicalClause: EXIT_INPUT,
+    BadIndex: EXIT_INPUT,
+    NotPure: EXIT_INPUT,
+    TooLarge: EXIT_LIMIT,            # and UniverseTooLarge, SetTooLarge
+    NeedsSemanticFallback: EXIT_LIMIT,
+    UnsatisfiableBase: EXIT_UNSAT,
+    UnsatisfiableUpdate: EXIT_UNSAT,
+}
 
 
 def _limits(args):
@@ -71,17 +87,13 @@ def _limits(args):
 def cmd_compile(args) -> int:
     limits = _limits(args)
     cnf = parse_formula(read_text(args.input), args.format)
-    try:
-        models = enumerate_models(cnf, limits)
-        if not models:
-            print("UNSAT")
-            return EXIT_UNSAT
-        mode = "all-exact" if args.all_cores else args.core_mode
-        cores = cores_from_models(models, mode, limits)
-        envelope = envelope_from_models(models, limits)
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    models = enumerate_models(cnf, limits)
+    if not models:
+        print("UNSAT")
+        return EXIT_UNSAT
+    mode = "all-exact" if args.all_cores else args.core_mode
+    cores = cores_from_models(models, mode, limits)
+    envelope = envelope_from_models(models, limits)
     for core in cores:
         print(f"core: {core.one_line()}")
     print(f"envelope: {envelope.one_line()}")
@@ -103,19 +115,15 @@ def _parse_update_formula(args, universe) -> CNF:
 
 
 def cmd_update(args) -> int:
-    limits = _limits(args)
     state = read_session(args.state)
     if args.formalism:
         state = replace(state, formalism=FormalismTag(args.formalism))
     phi = _parse_update_formula(args, state.universe)
-    pick = "first" if args.pick is None else args.pick
     try:
-        state = step(state, phi, pick=pick, core_mode=args.core_mode,
-                     allow_fallback=not args.no_fallback, limits=limits)
-    except NeedsSemanticFallback as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+        state = step(state, phi, pick=args.pick, core_mode=args.core_mode,
+                     allow_fallback=not args.no_fallback, limits=_limits(args))
     except UniverseTooLarge as exc:
+        # update's own code: compile reports the same class as a limit (3)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNIVERSE
     write_session(state, args.state)
@@ -136,17 +144,10 @@ def cmd_session_new(args) -> int:
     limits = _limits(args)
     cnf = parse_formula(read_text(args.formula), args.format)
     tag = FormalismTag(args.formalism)
-    try:
-        if cnf.horn() and not args.compile:
-            state = init_horn(cnf, tag)
-        else:
-            state = init_compile(cnf, tag, core_mode=args.core_mode, limits=limits)
-    except UnsatisfiableBase as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSAT
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    if cnf.horn() and not args.compile:
+        state = init_horn(cnf, tag)
+    else:
+        state = init_compile(cnf, tag, core_mode=args.core_mode, limits=limits)
     write_session(state, args.state)
     print(f"initialized {args.state}")
     return EXIT_OK
@@ -184,42 +185,31 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    limits = _limits(args)
     text = read_text(args.input)
-    try:
-        if args.kind == "transversal":
-            h = parse_hypergraph(text)
-            for t in transversals(h):
-                print(" ".join(str(v) for v in t))
-        elif args.kind == "fuv":
-            h = parse_hypergraph(text)
-            kb, phi = fuv_reduction(h)
-            print("vars " + " ".join(kb.universe.names))
-            for name, cnf in kb.items:
-                print(f"item {name}: {cnf.one_line()}")
-            print(f"phi: {phi.one_line()}")
-        elif args.kind == "pure3sat":
-            source = parse_formula(text, args.format)
-            kb, _, phi = pure3sat_reduction(source)
-            print("vars " + " ".join(kb.universe.names))
-            for name, cnf in kb.items:
-                print(f"item {name}: {cnf.one_line()}")
-            print(f"phi: {phi.one_line()}")
-        elif args.kind == "nodecover":
-            if args.bound is None:
-                raise ParseError("nodecover needs a cover bound argument")
-            g = parse_graph(text)
-            m1, m2, k = nodecover_reduction(g, args.bound, limits)
-            print("vars " + " ".join(m1.universe.names))
-            for line in m1.texts():
-                print(f"m1 {line}")
-            for line in m2.texts():
-                print(f"m2 {line}")
-            print(f"k {k}")
-            print(f"maxmodel {'yes' if maxmodel(m1, m2, k, limits) else 'no'}")
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    if args.kind == "transversal":
+        for t in transversals(parse_hypergraph(text)):
+            print(" ".join(str(v) for v in t))
+    elif args.kind == "nodecover":
+        if args.bound is None:
+            raise ParseError("nodecover needs a cover bound argument")
+        limits = _limits(args)
+        m1, m2, k = nodecover_reduction(parse_graph(text), args.bound, limits)
+        print("vars " + " ".join(m1.universe.names))
+        for line in m1.texts():
+            print(f"m1 {line}")
+        for line in m2.texts():
+            print(f"m2 {line}")
+        print(f"k {k}")
+        print(f"maxmodel {'yes' if maxmodel(m1, m2, k, limits) else 'no'}")
+    else:
+        if args.kind == "fuv":
+            kb, phi = fuv_reduction(parse_hypergraph(text))
+        else:
+            kb, _, phi = pure3sat_reduction(parse_formula(text, args.format))
+        print("vars " + " ".join(kb.universe.names))
+        for name, cnf in kb.items:
+            print(f"item {name}: {cnf.one_line()}")
+        print(f"phi: {phi.one_line()}")
     return EXIT_OK
 
 
@@ -256,41 +246,50 @@ def _fold_clause_values(argv):
     return folded
 
 
+def _option(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hornkit",
         description="Horn-bound knowledge compilation with model-based updates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--vars-limit", type=int, default=None,
-                        help="override the enumeration/envelope variable limits")
-    common.add_argument("--core-limit", type=int, default=None,
-                        help="override the exact-core model count limit")
-    common.add_argument("--format", choices=("auto", "sym", "dimacs"), default="auto",
-                        help="formula input format (default: auto-detect)")
+    vars_limit = _option("--vars-limit", type=int, default=None,
+                         help="override the enumeration/envelope variable limits")
+    core_limit = _option("--core-limit", type=int, default=None,
+                         help="override the exact-core model count limit")
+    fmt = _option("--format", choices=("auto", "sym", "dimacs"), default="auto",
+                  help="formula input format (default: auto-detect)")
+    core_mode = _option("--core-mode", choices=("exact-max", "greedy"),
+                        default="exact-max")
+    formalisms = [t.value for t in FormalismTag if t.value not in ("fuv", "widtio")]
 
-    p = sub.add_parser("compile", parents=[common],
+    p = sub.add_parser("compile", parents=[vars_limit, core_limit, fmt, core_mode],
                        help="print the Horn core(s) and envelope of a formula")
     p.add_argument("input")
     p.add_argument("--all-cores", action="store_true",
                    help="print every maximal core")
-    p.add_argument("--core-mode", choices=("exact-max", "greedy"), default="exact-max")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("update", parents=[common],
+    p = sub.add_parser("update", parents=[vars_limit, core_limit, core_mode],
                        help="apply an update to a session file")
     p.add_argument("state")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--clause", help="inline clause, e.g. '-x y' or '-z'")
     group.add_argument("--clause-file", help="file with one clause per line")
-    p.add_argument("--formalism", choices=[t.value for t in FormalismTag
-                                           if t.value not in ("fuv", "widtio")])
-    p.add_argument("--pick", type=int, default=None,
-                   help="1-based core pick for the fast path")
+    p.add_argument("--formalism", choices=formalisms)
+    p.add_argument("--pick", type=int, default=1,
+                   help="1-based core pick for the fast path (default 1); "
+                        "out of range exits 2")
     p.add_argument("--no-fallback", action="store_true",
-                   help="fail instead of enumerating when no fast path exists")
-    p.add_argument("--core-mode", choices=("exact-max", "greedy"), default="exact-max")
+                   help="exit 3 instead of enumerating when no fast path exists: "
+                        "several clauses, a non-Horn clause, or winslett on a "
+                        "clause the bound already agrees with")
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("query", help="three-valued clause query against a session")
@@ -301,19 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("session", help="session file management")
     session_sub = p.add_subparsers(dest="session_command", required=True)
-    p = session_sub.add_parser("new", parents=[common], help="create a session file")
+    p = session_sub.add_parser("new", parents=[vars_limit, core_limit, fmt, core_mode],
+                               help="create a session file")
     p.add_argument("state")
     p.add_argument("--formula", required=True, help="initial formula file")
-    p.add_argument("--formalism", required=True,
-                   choices=[t.value for t in FormalismTag
-                            if t.value not in ("fuv", "widtio")])
+    p.add_argument("--formalism", required=True, choices=formalisms)
     p.add_argument("--compile", action="store_true",
                    help="force envelope/core compilation even for Horn input")
-    p.add_argument("--core-mode", choices=("exact-max", "greedy"), default="exact-max")
     p.set_defaults(func=cmd_session_new)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the oracle-equivalence property suites")
+    p = sub.add_parser("verify", help="run the oracle-equivalence property suites")
     p.add_argument("--n", type=_positive_int("a universe needs at least one variable"),
                    default=8,
                    help="max universe size: sizes are drawn up to n, each "
@@ -325,15 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=20, help="bracketing suite session count")
     p.add_argument("--steps", type=_positive_int("needs at least one step"),
                    default=10, help="updates per bracketing session")
-    p.add_argument("--formalism", choices=[t.value for t in FormalismTag
-                                           if t.value not in ("fuv", "widtio")])
+    p.add_argument("--formalism", choices=formalisms)
     p.add_argument("--suite", choices=("all", "fastpath", "closure", "bijection",
                                        "bracketing"), default="all")
     p.add_argument("--adversarial-additivity", action="store_true",
                    help="search for a non-additivity witness")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[vars_limit, fmt],
                        help="run a reduction construction on an instance file")
     p.add_argument("kind", choices=("transversal", "fuv", "pure3sat", "nodecover"))
     p.add_argument("input")
@@ -350,12 +345,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_fold_clause_values(argv))
     try:
         return args.func(args)
-    except (ParseError, TautologicalClause) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except HornkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

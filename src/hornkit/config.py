@@ -18,10 +18,9 @@ class Limits:
     enumeration_vars: int = 20   # max universe size for model enumeration
     envelope_vars: int = 12      # max universe size for envelope clause search
     core_models: int = 20        # max model-set size for the exact core modes
-    gap_vars: int = 12           # record upper/lower model gaps up to this size
 
     def with_vars_limit(self, n: int) -> "Limits":
-        return replace(self, enumeration_vars=n, envelope_vars=n, gap_vars=n)
+        return replace(self, enumeration_vars=n, envelope_vars=n)
 
 
 DEFAULT_LIMITS = Limits()

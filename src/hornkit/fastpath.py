@@ -76,20 +76,13 @@ def fast_update(g: CNF, phi: Clause, tag: FormalismTag):
     return remainder.extend(envelope_added), [remainder.extend(a) for a in cores_added]
 
 
-def fast_update_pick(g: CNF, phi: Clause, tag: FormalismTag, pick="first"):
+def fast_update_pick(g: CNF, phi: Clause, tag: FormalismTag, pick: int = 1):
     """fast_update with one core selected.
 
-    pick is "first" for the canonical first core, or a 1-based index into
-    the canonical core list; out-of-range indices raise BadIndex.
+    pick is a 1-based index into the canonical core list; out-of-range
+    indices raise BadIndex.
     """
     envelope, cores = fast_update(g, phi, tag)
-    if pick == "first":
-        index = 1
-    else:
-        try:
-            index = int(pick)
-        except (TypeError, ValueError):
-            raise BadIndex(f"bad core pick {pick!r}") from None
-    if not 1 <= index <= len(cores):
-        raise BadIndex(f"core index {index} out of range 1..{len(cores)}")
-    return envelope, cores[index - 1]
+    if not 1 <= pick <= len(cores):
+        raise BadIndex(f"core index {pick} out of range 1..{len(cores)}")
+    return envelope, cores[pick - 1]

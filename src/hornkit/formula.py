@@ -66,10 +66,6 @@ class Literal:
     def from_code(code: int) -> "Literal":
         return Literal(code >> 1, not code & 1)
 
-    def token(self, universe: VarUniverse) -> str:
-        name = universe.names[self.var]
-        return name if self.positive else "-" + name
-
 
 def _normalize_codes(codes) -> tuple:
     out = sorted(set(codes))
@@ -273,12 +269,6 @@ class KnowledgeBase:
 
     def horn(self) -> bool:
         return all(cnf.horn() for _, cnf in self.items)
-
-    def conjunction(self) -> CNF:
-        clauses = []
-        for _, cnf in self.items:
-            clauses.extend(cnf.clauses)
-        return CNF(self.universe, tuple(clauses))
 
     def restricted(self, indices) -> "KnowledgeBase":
         return KnowledgeBase(self.universe, tuple(self.items[i] for i in sorted(indices)))

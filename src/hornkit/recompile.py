@@ -29,7 +29,12 @@ from .errors import (
 from .fastpath import fast_update, fast_update_pick
 from .formula import CNF, Clause, VarUniverse, parse_clause, read_text
 from .hornsat import entails, entails_cnf, horn_sat
-from .semantics import cores_from_models, enumerate_models, envelope_from_models
+from .semantics import (
+    check_envelope_vars,
+    cores_from_models,
+    enumerate_models,
+    envelope_from_models,
+)
 
 
 class QueryVerdict(str, Enum):
@@ -97,21 +102,23 @@ def init_compile(g: CNF, formalism: FormalismTag, *, core_mode: str = "exact-max
 
 
 def _gap_size(state: BeliefState, limits: Limits):
-    if len(state.universe) > limits.gap_vars:
+    if len(state.universe) > limits.envelope_vars:
         return None
     upper = enumerate_models(state.upper, limits).table
     lower = enumerate_models(state.lower, limits).table
     return (upper & ~lower).bit_count()
 
 
-def step(state: BeliefState, phi: CNF, *, pick="first", core_mode: str = "exact-max",
+def step(state: BeliefState, phi: CNF, *, pick: int = 1, core_mode: str = "exact-max",
          allow_fallback: bool = True, limits: Limits = DEFAULT_LIMITS) -> BeliefState:
     """Apply one update to both bounds and append it to the log.
 
     Single Horn-clause updates take the linear fast path per bound; the
     rest (multi-clause or non-Horn updates, and winslett when a bound is
     consistent with the clause) go through exact enumeration.  With
-    allow_fallback false the winslett consistent case raises instead.
+    allow_fallback false every such update raises NeedsSemanticFallback
+    instead.  That refusal, like UniverseTooLarge for a semantic step past
+    the envelope limit, comes before anything is enumerated.
     """
     if phi.universe != state.universe:
         raise UniverseMismatch("update formula over a different universe")
@@ -119,6 +126,8 @@ def step(state: BeliefState, phi: CNF, *, pick="first", core_mode: str = "exact-
         raise UnsatisfiableUpdate("update formula is unsatisfiable")
 
     single = len(phi.clauses) == 1 and phi.clauses[0].horn() and bool(phi.clauses[0].codes)
+    if not single and not allow_fallback:
+        raise NeedsSemanticFallback("no fast path: the update is not one Horn clause")
     upper_new = lower_new = None
     upper_fast = lower_fast = False
     pick_used = 0
@@ -133,12 +142,15 @@ def step(state: BeliefState, phi: CNF, *, pick="first", core_mode: str = "exact-
                 raise
         try:
             _, lower_new = fast_update_pick(state.lower, clause, state.formalism, pick)
-            pick_used = 1 if pick == "first" else int(pick)
+            pick_used = pick
             lower_fast = True
         except NeedsSemanticFallback:
             if not allow_fallback:
                 raise
 
+    if not (upper_fast and lower_fast):
+        # each semantic bound ends in an envelope search: refuse before enumerating
+        check_envelope_vars(len(state.universe), limits)
     if upper_new is None:
         upper_new = envelope_from_models(
             update_cnf(state.upper, phi, state.formalism, limits), limits)

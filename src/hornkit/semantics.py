@@ -338,6 +338,13 @@ def _horn_clause_candidates(n: int, width: int):
     return out
 
 
+def check_envelope_vars(n: int, limits: Limits) -> None:
+    """UniverseTooLarge if an envelope search over n variables is past the limit."""
+    if n > limits.envelope_vars:
+        raise UniverseTooLarge(f"{n} variables exceeds envelope limit "
+                               f"{limits.envelope_vars}")
+
+
 def envelope_from_models(ms: ModelSet, limits: Limits = DEFAULT_LIMITS) -> CNF:
     """Strongest Horn CNF implied by the model set.
 
@@ -345,9 +352,7 @@ def envelope_from_models(ms: ModelSet, limits: Limits = DEFAULT_LIMITS) -> CNF:
     are searched width-ascending and the returned CNF is irredundant.
     """
     n = len(ms.universe)
-    if n > limits.envelope_vars:
-        raise UniverseTooLarge(f"{n} variables exceeds envelope limit "
-                               f"{limits.envelope_vars}")
+    check_envelope_vars(n, limits)
     target = closure(ms.table, n)
     if not target:
         return CNF(ms.universe, (Clause.from_codes(()),))

@@ -2,7 +2,18 @@ import json
 
 import pytest
 
-from hornkit.cli import main
+from hornkit import (
+    BadIndex,
+    NeedsSemanticFallback,
+    NotPure,
+    ParseError,
+    SetTooLarge,
+    TautologicalClause,
+    UniverseTooLarge,
+    UnsatisfiableBase,
+    UnsatisfiableUpdate,
+)
+from hornkit.cli import EXIT_CODES, main
 
 GAMMA0 = "vars x y z\nx y\nx z\ny -z\n-y z\n"
 
@@ -193,6 +204,73 @@ def test_missing_session_file_exits_2(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+# One case per EXIT_CODES row, plus update's own exit 5: the error raised,
+# its exit code and a piece of its message.  "S" stands for the session
+# path and "F:" starts the text of an input file.
+ERROR_CASES = [
+    pytest.param(GAMMA0, ("update", "S", "--clause", "nosuch"),
+                 ParseError, 2, "unknown variable 'nosuch'", id="parse"),
+    pytest.param(GAMMA0, ("update", "S", "--clause", "x -x"),
+                 TautologicalClause, 2, "occurs with both signs", id="tautology"),
+    pytest.param("vars x y\nx\n", ("update", "S", "--clause", "-x", "--pick", "5"),
+                 BadIndex, 2, "core index 5 out of range 1..1", id="pick"),
+    pytest.param(None, ("reduce", "pure3sat", "F:vars a b\na -b\n"),
+                 NotPure, 2, "mixed clause", id="not-pure"),
+    pytest.param("vars a b c d e f\na\n", ("update", "S", "--clause", "b c"),
+                 SetTooLarge, 3, "24 models exceeds exact core limit 20",
+                 id="set-too-large"),
+    pytest.param(GAMMA0, ("update", "S", "--clause-file", "F:-x\n-y\n", "--no-fallback"),
+                 NeedsSemanticFallback, 3, "no fast path", id="no-fallback"),
+    pytest.param(None, ("session", "new", "S", "--formula", "F:vars x\nx\n-x\n",
+                        "--formalism", "dalal"),
+                 UnsatisfiableBase, 4, "initial formula is unsatisfiable",
+                 id="unsat-base"),
+    pytest.param(GAMMA0, ("update", "S", "--clause-file", "F:x\n-x\n"),
+                 UnsatisfiableUpdate, 4, "update formula is unsatisfiable",
+                 id="unsat-update"),
+    pytest.param("vars w x y z\nx\n",
+                 ("update", "S", "--clause", "y z", "--vars-limit", "3"),
+                 UniverseTooLarge, 5, "4 variables exceeds envelope limit 3",
+                 id="universe-too-large"),
+]
+
+
+@pytest.mark.parametrize("base, argv, error, code, message", ERROR_CASES)
+def test_error_exit_codes(capsys, tmp_path, base, argv, error, code, message):
+    state = tmp_path / "s.json"
+    if base is not None:
+        formula = tmp_path / "base.cnf"
+        formula.write_text(base)
+        assert main(["session", "new", str(state), "--formula", str(formula),
+                     "--formalism", "dalal"]) == 0
+        capsys.readouterr()
+    before = state.read_bytes() if state.exists() else None
+    args = []
+    for arg in argv:
+        if arg == "S":
+            arg = str(state)
+        elif arg.startswith("F:"):
+            path = tmp_path / "input.txt"
+            path.write_text(arg[2:])
+            arg = str(path)
+        args.append(arg)
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert (state.read_bytes() if state.exists() else None) == before
+
+
+def test_error_exit_cases_cover_table():
+    rows = {}
+    for case in ERROR_CASES:
+        _, _, error, code, _ = case.values
+        if code != 5:  # update's UniverseTooLarge is caught in cmd_update
+            rows[next(cls for cls in EXIT_CODES if issubclass(error, cls))] = code
+    assert rows == EXIT_CODES
 
 
 def _session_doc(**changes):

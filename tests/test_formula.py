@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hornkit import (
     CNF,
@@ -20,6 +22,7 @@ from hornkit import (
     parse_symbolic,
 )
 from hornkit.generators import random_cnf
+from hornkit.semantics import enumerate_models
 
 from oracle import models_brute
 
@@ -186,3 +189,26 @@ def test_universe_validation():
         VarUniverse(("x", "x"))
     with pytest.raises(ValueError):
         VarUniverse(("-bad",))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 8))
+def test_symbolic_round_trip(rng, n):
+    c = random_cnf(rng, n)
+    if enumerate_models(c):
+        assert parse_symbolic(format_symbolic(c)) == c.canonical()
+
+
+TOKENS = st.sampled_from(["vars", "p", "cnf", "x", "-x", "y", "-y", "x y", "-", "--x",
+                          "0", "1", "-1", "2", "-3", "c", "%", "#", "v1"])
+TEXTS = (st.lists(st.lists(TOKENS, max_size=6).map(" ".join), max_size=6).map("\n".join)
+         | st.text(max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=TEXTS, fmt=st.sampled_from(["auto", "sym", "dimacs"]))
+def test_parse_formula_raises_only_parse_errors(text, fmt):
+    try:
+        parse_formula(text, fmt)
+    except (ParseError, TautologicalClause):
+        pass

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hornkit import (
     CNF,
     FormalismTag,
+    NeedsSemanticFallback,
     NotHorn,
     QueryVerdict,
+    UniverseTooLarge,
     UnsatisfiableBase,
     UnsatisfiableUpdate,
     VarUniverse,
@@ -30,6 +32,7 @@ from hornkit.generators import (
     contradicting_horn_clause,
     random_clause,
     random_satisfiable_horn,
+    universe_of,
 )
 
 from oracle import models_brute
@@ -205,6 +208,22 @@ def test_fast_steps_session_round_trip(rng, n, steps, tag):
         state = step(state, phi, pick=pick)
         assert state.log[-1].path == "fast"
         assert session_to_json(step(loaded, phi, pick=pick)) == session_to_json(state)
+
+
+def test_refusals_come_before_enumeration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("update_cnf ran before the refusal")
+
+    monkeypatch.setattr(recompile, "update_cnf", fail)
+    u13 = universe_of(13)
+    # winslett takes the semantic path when the bounds agree with the clause
+    state = init_horn(cnf(u13, "x1"), FormalismTag.WINSLETT)
+    with pytest.raises(UniverseTooLarge, match="13 variables exceeds envelope limit 12"):
+        step(state, cnf(u13, "-x1 x2"))
+    state = init_horn(cnf(XYZ, "x"), FormalismTag.DALAL)
+    for phi in (cnf(XYZ, "-x", "-y"), cnf(XYZ, "x y")):
+        with pytest.raises(NeedsSemanticFallback, match="not one Horn clause"):
+            step(state, phi, allow_fallback=False)
 
 
 def test_session_log_contents():
