@@ -23,7 +23,7 @@ from .errors import (
 class VarUniverse:
     """Fixed, ordered collection of distinct variable names."""
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "_codes")
 
     def __init__(self, names):
         names = tuple(names)
@@ -37,9 +37,18 @@ class VarUniverse:
             raise ValueError("variable names must be distinct")
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
+        self._codes = None
 
     def __len__(self):
         return len(self.names)
+
+    def _code_table(self) -> tuple:
+        """Every literal code, indexed by itself, built on first use: the
+        clauses parse_clause builds share these int objects instead of
+        each holding its own."""
+        if self._codes is None:
+            self._codes = tuple(range(2 * len(self.names)))
+        return self._codes
 
     def __eq__(self, other):
         return isinstance(other, VarUniverse) and self.names == other.names
@@ -158,10 +167,11 @@ class CNF:
 
     An empty clause list denotes truth; a CNF containing the empty clause
     denotes falsity.  Values are immutable; canonical() returns the sorted,
-    subsumption-free form.
+    subsumption-free form.  A CNF built as canonical carries a private flag
+    that makes canonical() return it as is; equality and hashing ignore it.
     """
 
-    __slots__ = ("universe", "clauses")
+    __slots__ = ("universe", "clauses", "_canonical")
 
     def __init__(self, universe: VarUniverse, clauses=()):
         clauses = tuple(clauses)
@@ -172,6 +182,17 @@ class CNF:
                     f"variable index {cl.codes[-1] >> 1} outside universe of size {n}")
         self.universe = universe
         self.clauses = clauses
+        self._canonical = False
+
+    @classmethod
+    def _from_canonical(cls, universe: VarUniverse, clauses: tuple) -> "CNF":
+        """Flagged CNF from clauses the caller guarantees to be the sorted,
+        subsumption-free form, over variables of the universe."""
+        cnf = object.__new__(cls)
+        cnf.universe = universe
+        cnf.clauses = clauses
+        cnf._canonical = True
+        return cnf
 
     def horn(self) -> bool:
         return all(cl.horn() for cl in self.clauses)
@@ -186,12 +207,17 @@ class CNF:
         return CNF(self.universe, self.clauses + tuple(clauses))
 
     def canonical(self) -> "CNF":
-        """Sorted, deduplicated, subsumption-free equivalent."""
+        """Sorted, deduplicated, subsumption-free equivalent.
+
+        The result keeps exactly the clauses that no other clause properly
+        subsumes, sorted on Clause.sort_key; on a flagged CNF it is self.
+        """
+        if self._canonical:
+            return self
         uniq = sorted(set(self.clauses), key=Clause.sort_key)
         if uniq and not uniq[0].codes:
-            return CNF(self.universe, (uniq[0],))
+            return CNF._from_canonical(self.universe, (uniq[0],))
         kept = []
-        kept_sets = []
         occ = {}
         for cl in uniq:
             fs = frozenset(cl.codes)
@@ -202,7 +228,7 @@ class CNF:
                     if idx in seen:
                         continue
                     seen.add(idx)
-                    if kept_sets[idx] <= fs:
+                    if fs.issuperset(kept[idx].codes):
                         subsumed = True
                         break
                 if subsumed:
@@ -211,10 +237,12 @@ class CNF:
                 continue
             idx = len(kept)
             kept.append(cl)
-            kept_sets.append(fs)
             for code in cl.codes:
                 occ.setdefault(code, []).append(idx)
-        return CNF(self.universe, tuple(kept))
+        # fresh clause objects, laid out in canonical order: a pass over
+        # the result then walks memory in order, not in the input's order
+        return CNF._from_canonical(
+            self.universe, tuple(Clause.from_codes(cl.codes) for cl in kept))
 
     def one_line(self) -> str:
         """Single-line rendering: bare unit literals, parenthesized wider clauses."""
@@ -291,12 +319,13 @@ def parse_clause(text: str, universe: VarUniverse) -> Clause:
     raise TautologicalClause.
     """
     codes = []
+    shared = universe._code_table()
     for token in text.split():
         positive = not token.startswith("-")
         name = token if positive else token[1:]
         if name not in universe.index:
             raise UnknownVariable(f"unknown variable {name!r}")
-        codes.append(2 * universe.index[name] + (0 if positive else 1))
+        codes.append(shared[2 * universe.index[name] + (0 if positive else 1)])
     return Clause.from_codes(codes)
 
 

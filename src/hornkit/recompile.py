@@ -6,8 +6,9 @@ and the lower bound by a Horn core of its update, taking the linear fast
 path whenever the update is a single Horn clause it can handle.  Queries
 answer three-valued from the two bounds in linear time; the bounds may
 stop bracketing each other under the non-additive formalisms, which is
-surfaced, never repaired.  Bounds keep the form their construction
-gives; a session is written, and the bracket checked, in canonical form.
+surfaced, never repaired.  Both bounds are satisfiable Horn formulas.  A
+fast step builds them in canonical form, flagged so; a session is written,
+and the bracket checked, in canonical form, which costs nothing then.
 """
 from __future__ import annotations
 
@@ -62,7 +63,12 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class BeliefState:
-    """Immutable (lower, upper) Horn pair with its formalism and history."""
+    """Immutable (lower, upper) Horn pair with its formalism and history.
+
+    Both bounds are satisfiable Horn CNFs, canonical after init_horn and
+    after a fast step.  lower may be upper itself (as init_horn leaves
+    it); step then factorises the pair once.
+    """
 
     universe: VarUniverse
     lower: CNF
@@ -113,12 +119,13 @@ def step(state: BeliefState, phi: CNF, *, pick: int = 1, core_mode: str = "exact
          allow_fallback: bool = True, limits: Limits = DEFAULT_LIMITS) -> BeliefState:
     """Apply one update to both bounds and append it to the log.
 
-    Single Horn-clause updates take the linear fast path per bound; the
-    rest (multi-clause or non-Horn updates, and winslett when a bound is
-    consistent with the clause) go through exact enumeration.  With
-    allow_fallback false every such update raises NeedsSemanticFallback
-    instead.  That refusal, like UniverseTooLarge for a semantic step past
-    the envelope limit, comes before anything is enumerated.
+    Single Horn-clause updates take the linear fast path per bound, once
+    for both when the bounds are equal; the rest (multi-clause or
+    non-Horn updates, and winslett when a bound is consistent with the
+    clause) go through exact enumeration.  With allow_fallback false
+    every such update raises NeedsSemanticFallback instead.  That refusal,
+    like UniverseTooLarge for a semantic step past the envelope limit,
+    comes before anything is enumerated.
     """
     if phi.universe != state.universe:
         raise UniverseMismatch("update formula over a different universe")
@@ -132,7 +139,17 @@ def step(state: BeliefState, phi: CNF, *, pick: int = 1, core_mode: str = "exact
     upper_fast = lower_fast = False
     pick_used = 0
 
-    if single:
+    if single and state.lower == state.upper:
+        # one factorisation serves both bounds
+        try:
+            upper_new, lower_new = fast_update_pick(
+                state.upper, phi.clauses[0], state.formalism, pick)
+            pick_used = pick
+            upper_fast = lower_fast = True
+        except NeedsSemanticFallback:
+            if not allow_fallback:
+                raise
+    elif single:
         clause = phi.clauses[0]
         try:
             upper_new, _ = fast_update(state.upper, clause, state.formalism)
@@ -185,7 +202,8 @@ def query(state: BeliefState, psi: Clause) -> QueryVerdict:
 
 def check_bracket(state: BeliefState) -> bool:
     """Whether the lower bound entails the upper, both taken in canonical
-    form: each subsumed clause a fast step left would cost a linear test."""
+    form (free for bounds a fast step built): a subsumed clause would cost
+    one more linear test."""
     return entails_cnf(state.lower.canonical(), state.upper.canonical())
 
 

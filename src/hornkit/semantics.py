@@ -393,6 +393,8 @@ def _grow(closed: int, mask: int, allowed: int, n: int):
 
 def maximal_closed_subsets(allowed: int, n: int) -> list:
     """Tables of all maximal AND-closed subsets of the table allowed."""
+    if closure(allowed, n) == allowed:
+        return [allowed]
     order = members(allowed)
     results = set()
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,18 @@ def test_compile_horn_input_fixed_point(capsys, tmp_path):
     code, out = run(capsys, "compile", str(path))
     assert code == 0
     assert out == "core: x y\nenvelope: x y\n"
+
+
+def test_compile_closed_model_set_is_its_own_core(capsys, tmp_path):
+    # 40 models closed under AND: the exact core search answers at once
+    path = tmp_path / "closed.cnf"
+    path.write_text("vars x0 x1 x2 x3 x4 x5\n-x5 -x0\n-x2 -x3 -x4\n-x5 -x2 -x4\n")
+    start = time.perf_counter()
+    code, out = run(capsys, "compile", str(path), "--core-limit", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    core, envelope = out.splitlines()
+    assert core.removeprefix("core: ") == envelope.removeprefix("envelope: ")
 
 
 def test_compile_unsat(capsys, tmp_path):

@@ -22,7 +22,7 @@ from hornkit import (
     update_cnf,
 )
 from hornkit.change import MODEL_BASED
-from hornkit.generators import contradicting_horn_clause, random_satisfiable_horn
+from hornkit.generators import contradicting_horn_clause, random_clause, random_satisfiable_horn
 
 from oracle import closure_brute, is_closed_brute, models_brute
 
@@ -186,10 +186,14 @@ def test_consistent_case_matches_oracle():
 def _reference_fast_update(g, phi):
     """Reference: the fast path's construction for a base contradicting phi,
     one builder per clause shape, with the envelope and every core
-    canonicalised and the cores sorted on their canonical clause lists."""
+    canonicalised and the cores sorted on their canonical clause lists.
+    A base consistent with phi gives the canonical conjunction."""
     def unit(var, positive):
         return Clause.from_codes((2 * var + (0 if positive else 1),))
 
+    if horn_sat(g.extend((phi,))) is not None:
+        combined = g.extend((phi,)).canonical()
+        return combined, [combined]
     body = list(phi.neg_vars())
     head = phi.head_var()
     assignment = {v: True for v in body}
@@ -252,3 +256,101 @@ def test_fast_update_canonical_forms_match_reference():
                 assert fast_update_pick(g, phi, tag, k)[1].canonical() == want
     assert {shape for shape, _ in shapes} == {"no head", "no body", "body and head"}
     assert {size for shape, size in shapes if shape == "no head"} == {1, 2, 3, 4, 5}
+
+
+def _scrambled(rng, g):
+    """An equivalent non-canonical copy of g: shuffled, with duplicated
+    clauses and clauses that others subsume (one more negative literal)."""
+    n = len(g.universe)
+    clauses = list(g.clauses)
+    for cl in rng.sample(clauses, min(3, len(clauses))):
+        clauses.append(cl)
+        free = [v for v in range(n) if v not in {c >> 1 for c in cl.codes}]
+        if free:
+            clauses.append(Clause.from_codes(cl.codes + (2 * rng.choice(free) + 1,)))
+    rng.shuffle(clauses)
+    return CNF(g.universe, clauses)
+
+
+def _consistent_clause(rng, g, how):
+    """A Horn clause consistent with g that properly subsumes a clause of g,
+    is properly subsumed by one, or is random; None if none was found."""
+    n = len(g.universe)
+    wide = [cl for cl in g.clauses if len(cl) >= 2]
+    if how == "subsumes" and wide:
+        codes = list(rng.choice(wide).codes)
+        codes.pop(rng.randrange(len(codes)))
+    elif how == "subsumed" and g.clauses:
+        codes = list(rng.choice(g.clauses).codes)
+        free = [v for v in range(n) if v not in {c >> 1 for c in codes}]
+        if not free:
+            return None
+        codes.append(2 * rng.choice(free) + 1)
+    else:
+        codes = list(random_clause(rng, n, 5, horn=True).codes)
+    phi = Clause.from_codes(codes)
+    return phi if horn_sat(g.extend((phi,))) is not None else None
+
+
+def _assert_canonical(r):
+    assert r.canonical() is r
+    assert CNF(r.universe, r.clauses).canonical().clauses == r.clauses
+
+
+def test_fast_update_is_the_canonical_reference():
+    # every output equals the old construction clause for clause and is
+    # truly canonical, on canonical and scrambled bases alike
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(3, 12)
+        g = random_satisfiable_horn(rng, n, max_clauses=2 * n, unit_bias=0.8)
+        # more facts, so that bodies of five entailed variables occur
+        for v in rng.sample(range(n), n // 2):
+            if horn_sat(g.extend((Clause.from_codes((2 * v,)),))) is not None:
+                g = g.extend((Clause.from_codes((2 * v,)),))
+        canonical = rng.random() < 0.5
+        g = g.canonical() if canonical else _scrambled(rng, g)
+        minimal = horn_sat(g)
+        entailed_true = [v for v in range(n) if minimal.bit(v)]
+        entailed_false = [v for v in range(n) if not minimal.bit(v) and
+                          horn_sat(g.extend((Clause.from_codes((2 * v,)),))) is None]
+        shape = rng.choice(("no head", "no body", "body and head",
+                            "subsumes", "subsumed", "random"))
+        if shape in ("subsumes", "subsumed", "random"):
+            phi = _consistent_clause(rng, g, shape)
+            if phi is None:
+                continue
+            size = None
+        elif shape == "no body":
+            if not entailed_false:
+                continue
+            phi = Clause.from_codes((2 * rng.choice(entailed_false),))
+            size = 0
+        else:
+            if not entailed_true or (shape == "body and head" and not entailed_false):
+                continue
+            size = rng.randint(1, min(5, len(entailed_true)))
+            codes = [2 * v + 1 for v in rng.sample(entailed_true, size)]
+            if shape == "body and head":
+                codes.append(2 * rng.choice(entailed_false))
+            phi = Clause.from_codes(codes)
+        seen.add((shape, size, canonical))
+        want_envelope, want_cores = _reference_fast_update(g, phi)
+        for tag in TAGS:
+            if size is None and tag is FormalismTag.WINSLETT:
+                with pytest.raises(NeedsSemanticFallback):
+                    fast_update(g, phi, tag)
+                continue
+            envelope, cores = fast_update(g, phi, tag)
+            assert envelope.clauses == want_envelope.clauses
+            assert [c.clauses for c in cores] == [c.clauses for c in want_cores]
+            for r in [envelope] + cores:
+                _assert_canonical(r)
+            for k, want in enumerate(want_cores, start=1):
+                assert fast_update_pick(g, phi, tag, k)[1].clauses == want.clauses
+    assert {shape for shape, _, _ in seen} == {
+        "no head", "no body", "body and head", "subsumes", "subsumed", "random"}
+    for shape in ("no head", "body and head"):
+        assert {size for s, size, _ in seen if s == shape} == {1, 2, 3, 4, 5}
+    assert {canonical for _, _, canonical in seen} == {True, False}

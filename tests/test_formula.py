@@ -91,6 +91,24 @@ def test_cnf_canonical_empty_clause_wins():
     assert f.canonical().clauses == (Clause(),)
 
 
+def test_canonical_flag():
+    # canonical() returns a flagged CNF, and a flagged CNF is its own
+    # canonical form; every other construction leaves the flag unset
+    fresh = CNF(XYZ, (cl("y"), cl("-x z")))
+    canon = fresh.canonical()
+    assert canon.clauses == fresh.clauses and canon is not fresh
+    assert canon.canonical() is canon
+    assert CNF(XYZ, (cl("x"), Clause())).canonical().canonical().clauses == (Clause(),)
+    for unflagged in (CNF(XYZ, canon.clauses), canon.extend(()),
+                      condition(canon, {1: 0}), condition(canon, {})):
+        assert unflagged.canonical() is not unflagged
+        assert unflagged.canonical() == unflagged.canonical().canonical()
+    # equality and hashing ignore the flag
+    copy = CNF(XYZ, canon.clauses)
+    assert copy == canon and hash(copy) == hash(canon)
+    assert len({copy, canon}) == 1
+
+
 def test_cnf_one_line_units_bare():
     f = CNF(XYZ, (cl("y"), cl("z"), cl("-x -y")))
     assert f.canonical().one_line() == "y z (-x -y)"

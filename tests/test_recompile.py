@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hornkit import (
     CNF,
+    BadIndex,
     FormalismTag,
     NeedsSemanticFallback,
     NotHorn,
@@ -17,6 +19,7 @@ from hornkit import (
     VarUniverse,
     check_bracket,
     enumerate_models,
+    fast_update,
     init_compile,
     init_horn,
     parse_clause,
@@ -28,6 +31,7 @@ from hornkit import (
     write_session,
 )
 from hornkit import recompile
+from hornkit.change import MODEL_BASED
 from hornkit.generators import (
     contradicting_horn_clause,
     random_clause,
@@ -38,6 +42,7 @@ from hornkit.generators import (
 from oracle import models_brute
 
 XYZ = VarUniverse(("x", "y", "z"))
+TAGS = sorted(MODEL_BASED, key=lambda t: t.value)
 NON_ADDITIVE = (FormalismTag.DALAL, FormalismTag.SATOH,
                 FormalismTag.BORGIDA, FormalismTag.FORBUS)
 
@@ -208,6 +213,75 @@ def test_fast_steps_session_round_trip(rng, n, steps, tag):
         state = step(state, phi, pick=pick)
         assert state.log[-1].path == "fast"
         assert session_to_json(step(loaded, phi, pick=pick)) == session_to_json(state)
+
+
+def _outcome(state, phi, pick):
+    try:
+        return session_to_json(step(state, phi, pick=pick, core_mode="greedy"))
+    except BadIndex as exc:
+        return repr(exc)
+
+
+def test_shared_bounds_step_like_separate_bounds():
+    # one factorisation for a pair of equal bounds must give what a step
+    # of each bound on its own gives
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        tag = rng.choice(TAGS)
+        state = init_horn(random_satisfiable_horn(rng, n), tag)
+        assert state.lower is state.upper
+        copies = [
+            replace(state, lower=CNF(state.universe, state.upper.clauses)),
+            # shuffled, so no longer equal: each bound takes its own fast_update
+            replace(state, lower=CNF(state.universe,
+                                     rng.sample(state.upper.clauses, len(state.upper.clauses)))),
+        ]
+        clause = contradicting_horn_clause(rng, state.upper)
+        if clause is None or rng.random() < 0.3:
+            clause = random_clause(rng, n, horn=True)
+        pick = rng.choice((1, 2, 3))
+        phi = CNF(state.universe, (clause,))
+        want = _outcome(state, phi, pick)
+        assert all(_outcome(copy, phi, pick) == want for copy in copies)
+        if want.startswith("BadIndex"):
+            seen.add("bad index")
+        else:
+            record = session_from_json(want).log[-1]
+            seen.add((record.path, record.core_pick))
+            if record.path == "semantic":
+                assert tag is FormalismTag.WINSLETT
+    assert seen >= {"bad index", ("fast", 1), ("fast", 2), ("semantic", 0)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(3, 8),
+       tag=st.sampled_from(TAGS))
+def test_flagged_bounds_are_canonical(rng, n, tag):
+    # every CNF that comes back flagged as canonical is so from scratch
+    def check(r):
+        if r.canonical() is r:
+            assert CNF(r.universe, r.clauses).canonical().clauses == r.clauses
+            return True
+        return False
+
+    g = random_satisfiable_horn(rng, n)
+    doubled = g.clauses + g.clauses[:2]
+    g = CNF(g.universe, rng.sample(doubled, len(doubled)))
+    state = init_horn(g, tag)
+    assert check(state.lower) and state.lower is state.upper
+    for _ in range(3):
+        clause = contradicting_horn_clause(rng, state.lower) or random_clause(rng, n, horn=True)
+        try:
+            envelope, cores = fast_update(state.upper, clause, tag)
+            assert all(check(r) for r in [envelope] + cores)
+        except NeedsSemanticFallback:
+            pass
+        state = step(state, CNF(state.universe, (clause,)), core_mode="greedy")
+        fast = state.log[-1].path == "fast"
+        assert check(state.lower) or not fast
+        assert check(state.upper) or not fast
 
 
 def test_refusals_come_before_enumeration(monkeypatch):
