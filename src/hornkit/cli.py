@@ -77,16 +77,16 @@ EXIT_CODES = {
 
 def _limits(args):
     limits = DEFAULT_LIMITS
-    if getattr(args, "vars_limit", None):
+    if getattr(args, "vars_limit", None) is not None:
         limits = limits.with_vars_limit(args.vars_limit)
-    if getattr(args, "core_limit", None):
+    if getattr(args, "core_limit", None) is not None:
         limits = replace(limits, core_models=args.core_limit)
     return limits
 
 
 def cmd_compile(args) -> int:
     limits = _limits(args)
-    cnf = parse_formula(read_text(args.input), args.format)
+    cnf = parse_formula(read_text(args.input), args.format, limits.enumeration_vars)
     models = enumerate_models(cnf, limits)
     if not models:
         print("UNSAT")
@@ -142,7 +142,9 @@ def cmd_query(args) -> int:
 
 def cmd_session_new(args) -> int:
     limits = _limits(args)
-    cnf = parse_formula(read_text(args.formula), args.format)
+    # only compilation enumerates; init_horn takes a Horn base of any size
+    max_vars = limits.enumeration_vars if args.compile else None
+    cnf = parse_formula(read_text(args.formula), args.format, max_vars)
     tag = FormalismTag(args.formalism)
     if cnf.horn() and not args.compile:
         state = init_horn(cnf, tag)
@@ -259,9 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Horn-bound knowledge compilation with model-based updates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    vars_limit = _option("--vars-limit", type=int, default=None,
+    vars_limit = _option("--vars-limit", default=None,
+                         type=_positive_int("a variable limit must be at least 1"),
                          help="override the enumeration/envelope variable limits")
-    core_limit = _option("--core-limit", type=int, default=None,
+    core_limit = _option("--core-limit", default=None,
+                         type=_positive_int("a core limit must be at least 1"),
                          help="override the exact-core model count limit")
     fmt = _option("--format", choices=("auto", "sym", "dimacs"), default="auto",
                   help="formula input format (default: auto-detect)")

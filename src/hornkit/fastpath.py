@@ -87,17 +87,17 @@ def fast_update(g: CNF, phi: Clause, tag: FormalismTag):
     the cores listed in canonical order.  When the base is consistent with
     the clause the result is simply their conjunction, except under
     winslett whose projection semantics has no known fast construction for
-    that case (NeedsSemanticFallback).
+    that case (NeedsSemanticFallback).  A non-Horn base raises NotHorn from
+    the propagation that finds its least model, before UnsatisfiableBase.
     """
     tag = FormalismTag(tag)
     if tag not in MODEL_BASED:
         raise ValueError(f"{tag.value} is not a model-based formalism")
     if not phi.horn():
         raise NotHorn("update clause must be Horn")
-    if not g.horn():
-        raise NotHorn("base must be Horn")
-    g = g.canonical()
+    # g as given: canonical() could drop a subsumed non-Horn clause
     least = horn_sat(g)
+    g = g.canonical()
     if least is None:
         raise UnsatisfiableBase("cannot update an unsatisfiable base")
     if phi.is_empty():
@@ -141,13 +141,14 @@ def fast_update(g: CNF, phi: Clause, tag: FormalismTag):
             [_merged(g.universe, remainder, a) for a in cores_added])
 
 
-def fast_update_pick(g: CNF, phi: Clause, tag: FormalismTag, pick: int = 1):
-    """fast_update with one core selected.
-
-    pick is a 1-based index into the canonical core list; out-of-range
-    indices raise BadIndex.
-    """
-    envelope, cores = fast_update(g, phi, tag)
+def pick_core(cores: list, pick: int) -> CNF:
+    """cores[pick - 1]; a pick outside 1..len(cores) raises BadIndex."""
     if not 1 <= pick <= len(cores):
         raise BadIndex(f"core index {pick} out of range 1..{len(cores)}")
-    return envelope, cores[pick - 1]
+    return cores[pick - 1]
+
+
+def fast_update_pick(g: CNF, phi: Clause, tag: FormalismTag, pick: int = 1):
+    """fast_update with one core selected by pick_core."""
+    envelope, cores = fast_update(g, phi, tag)
+    return envelope, pick_core(cores, pick)

@@ -16,6 +16,7 @@ from .errors import (
     ParseError,
     TautologicalClause,
     UniverseMismatch,
+    UniverseTooLarge,
     UnknownVariable,
 )
 
@@ -402,10 +403,11 @@ def parse_symbolic(text: str) -> CNF:
     return CNF(universe, tuple(clauses))
 
 
-def parse_dimacs(text: str) -> CNF:
+def parse_dimacs(text: str, max_vars: int | None = None) -> CNF:
     """DIMACS CNF: 'p cnf n m' header, signed integers, 0-terminated clauses.
 
-    Variable i is named v<i>.
+    Variable i is named v<i>.  A header count above max_vars raises
+    UniverseTooLarge after any parse error, before the universe is built.
     """
     nvars = None
     literal_tokens = []
@@ -434,7 +436,6 @@ def parse_dimacs(text: str) -> CNF:
         raise ParseError("missing 'p cnf' header")
     if nvars < 1:
         raise ParseError("DIMACS header declares no variables")
-    universe = VarUniverse(tuple(f"v{i}" for i in range(1, nvars + 1)))
     clauses = []
     current = []
     for lit in literal_tokens:
@@ -447,20 +448,24 @@ def parse_dimacs(text: str) -> CNF:
         current.append(2 * (abs(lit) - 1) + (0 if lit > 0 else 1))
     if current:
         clauses.append(current)
-    return CNF(universe, tuple(Clause.from_codes(c) for c in clauses))
+    clauses = tuple(Clause.from_codes(c) for c in clauses)
+    if max_vars is not None and nvars > max_vars:
+        raise UniverseTooLarge(f"{nvars} variables exceeds enumeration limit {max_vars}")
+    return CNF(VarUniverse(tuple(f"v{i}" for i in range(1, nvars + 1))), clauses)
 
 
-def parse_formula(text: str, fmt: str = "auto") -> CNF:
+def parse_formula(text: str, fmt: str = "auto", max_vars: int | None = None) -> CNF:
+    """A symbolic or DIMACS formula; max_vars bounds a DIMACS header."""
     if fmt == "sym":
         return parse_symbolic(text)
     if fmt == "dimacs":
-        return parse_dimacs(text)
+        return parse_dimacs(text, max_vars)
     if fmt != "auto":
         raise ValueError(f"unknown format {fmt!r}")
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("p ") or line.startswith("p\t"):
-            return parse_dimacs(text)
+            return parse_dimacs(text, max_vars)
     return parse_symbolic(text)
 
 

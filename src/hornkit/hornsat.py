@@ -2,7 +2,8 @@
 
 Propagation is counter-based: each clause tracks how many of its negative
 literals are not yet forced true, so the total work is linear in the
-literal count of the input.
+literal count of the input.  Its setup pass is the only Horn check: a
+clause with two positive literals raises NotHorn before anything propagates.
 """
 from __future__ import annotations
 
@@ -23,8 +24,10 @@ def _propagate(n: int, clauses):
             if code & 1:
                 occ[code >> 1].append(ci)
                 cnt += 1
-            else:
+            elif head < 0:
                 head = code >> 1
+            else:
+                raise NotHorn("not Horn: a clause has two positive literals")
         heads.append(head)
         counts.append(cnt)
         if cnt == 0:
@@ -54,10 +57,9 @@ def horn_sat(cnf: CNF) -> Model | None:
 
     The returned model is the least fixpoint of unit propagation: every
     variable not forced true is false, so it is pointwise below every
-    model of the formula.
+    model of the formula.  A non-Horn CNF raises NotHorn from the
+    propagation's setup pass, even when it is also unsatisfiable.
     """
-    if not cnf.horn():
-        raise NotHorn("horn_sat requires a Horn CNF")
     return _propagate(len(cnf.universe), cnf.clauses)
 
 
@@ -65,10 +67,9 @@ def entails(cnf: CNF, clause: Clause) -> bool:
     """Whether a Horn CNF entails a clause, by refutation.
 
     The query clause may be arbitrary: its negation contributes only unit
-    clauses, so the refutation stays Horn and runs in linear time.
+    clauses, so the refutation stays Horn and runs in linear time.  A
+    non-Horn base raises NotHorn from the propagation's setup pass.
     """
-    if not cnf.horn():
-        raise NotHorn("entails requires a Horn base")
     negation = tuple(Clause.from_codes((code ^ 1,)) for code in clause.codes)
     return _propagate(len(cnf.universe), cnf.clauses + negation) is None
 

@@ -6,9 +6,10 @@ and the lower bound by a Horn core of its update, taking the linear fast
 path whenever the update is a single Horn clause it can handle.  Queries
 answer three-valued from the two bounds in linear time; the bounds may
 stop bracketing each other under the non-additive formalisms, which is
-surfaced, never repaired.  Both bounds are satisfiable Horn formulas.  A
-fast step builds them in canonical form, flagged so; a session is written,
-and the bracket checked, in canonical form, which costs nothing then.
+surfaced, never repaired.  Both bounds are satisfiable Horn formulas, checked
+Horn where they enter and kept Horn by every step.  A fast step builds them
+in canonical form, flagged so; a session is written, and the bracket
+checked, in canonical form, which costs nothing then.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .errors import (
     UnsatisfiableBase,
     UnsatisfiableUpdate,
 )
-from .fastpath import fast_update, fast_update_pick
+from .fastpath import fast_update, pick_core
 from .formula import CNF, Clause, VarUniverse, parse_clause, read_text
 from .hornsat import entails, entails_cnf, horn_sat
 from .semantics import (
@@ -87,8 +88,6 @@ def _require_model_based(formalism) -> FormalismTag:
 def init_horn(g: CNF, formalism: FormalismTag) -> BeliefState:
     """Start from a Horn formula; both bounds equal its canonical form."""
     tag = _require_model_based(formalism)
-    if not g.horn():
-        raise NotHorn("init_horn requires a Horn formula")
     if horn_sat(g) is None:
         raise UnsatisfiableBase("initial formula is unsatisfiable")
     canon = g.canonical()
@@ -115,6 +114,16 @@ def _gap_size(state: BeliefState, limits: Limits):
     return (upper & ~lower).bit_count()
 
 
+def _fast_or_none(bound: CNF, clause: Clause, tag: FormalismTag, allow_fallback: bool):
+    """fast_update's (envelope, cores), or None for a fallback that is allowed."""
+    try:
+        return fast_update(bound, clause, tag)
+    except NeedsSemanticFallback:
+        if not allow_fallback:
+            raise
+        return None
+
+
 def step(state: BeliefState, phi: CNF, *, pick: int = 1, core_mode: str = "exact-max",
          allow_fallback: bool = True, limits: Limits = DEFAULT_LIMITS) -> BeliefState:
     """Apply one update to both bounds and append it to the log.
@@ -135,51 +144,28 @@ def step(state: BeliefState, phi: CNF, *, pick: int = 1, core_mode: str = "exact
     single = len(phi.clauses) == 1 and phi.clauses[0].horn() and bool(phi.clauses[0].codes)
     if not single and not allow_fallback:
         raise NeedsSemanticFallback("no fast path: the update is not one Horn clause")
-    upper_new = lower_new = None
-    upper_fast = lower_fast = False
-    pick_used = 0
-
-    if single and state.lower == state.upper:
-        # one factorisation serves both bounds
-        try:
-            upper_new, lower_new = fast_update_pick(
-                state.upper, phi.clauses[0], state.formalism, pick)
-            pick_used = pick
-            upper_fast = lower_fast = True
-        except NeedsSemanticFallback:
-            if not allow_fallback:
-                raise
-    elif single:
+    upper_fast = lower_fast = None
+    if single:
         clause = phi.clauses[0]
-        try:
-            upper_new, _ = fast_update(state.upper, clause, state.formalism)
-            upper_fast = True
-        except NeedsSemanticFallback:
-            if not allow_fallback:
-                raise
-        try:
-            _, lower_new = fast_update_pick(state.lower, clause, state.formalism, pick)
-            pick_used = pick
-            lower_fast = True
-        except NeedsSemanticFallback:
-            if not allow_fallback:
-                raise
-
-    if not (upper_fast and lower_fast):
+        upper_fast = _fast_or_none(state.upper, clause, state.formalism, allow_fallback)
+        # one factorisation serves both bounds when they are equal
+        lower_fast = upper_fast if state.lower == state.upper else _fast_or_none(
+            state.lower, clause, state.formalism, allow_fallback)
+    lower_new = None if lower_fast is None else pick_core(lower_fast[1], pick)
+    fast = upper_fast is not None and lower_fast is not None
+    if not fast:
         # each semantic bound ends in an envelope search: refuse before enumerating
         check_envelope_vars(len(state.universe), limits)
-    if upper_new is None:
-        upper_new = envelope_from_models(
-            update_cnf(state.upper, phi, state.formalism, limits), limits)
+    upper_new = upper_fast[0] if upper_fast is not None else envelope_from_models(
+        update_cnf(state.upper, phi, state.formalism, limits), limits)
     if lower_new is None:
         lower_new = cores_from_models(
             update_cnf(state.lower, phi, state.formalism, limits), core_mode, limits)[0]
-        pick_used = 0
 
-    path = "fast" if upper_fast and lower_fast else "semantic"
     new_state = replace(state, lower=lower_new, upper=upper_new)
     gap = _gap_size(new_state, limits)
-    record = StepRecord(phi.canonical(), path, pick_used, gap)
+    record = StepRecord(phi.canonical(), "fast" if fast else "semantic",
+                        0 if lower_fast is None else pick, gap)
     return replace(new_state, log=state.log + (record,))
 
 
@@ -222,9 +208,11 @@ def _cnf_from_json(data, universe: VarUniverse) -> CNF:
 
 def _bound_from_json(data, universe: VarUniverse, name: str) -> CNF:
     bound = _cnf_from_json(data, universe)
-    if not bound.horn():
-        raise ParseError(f"bad session file: {name} bound is not Horn")
-    if horn_sat(bound) is None:
+    try:
+        least = horn_sat(bound)
+    except NotHorn:
+        raise ParseError(f"bad session file: {name} bound is not Horn") from None
+    if least is None:
         raise ParseError(f"bad session file: {name} bound is unsatisfiable")
     return bound
 

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,38 @@ def test_compile_dimacs(capsys, tmp_path):
     code, out = run(capsys, "compile", str(path))
     assert code == 0
     assert out == "core: v1 v2\nenvelope: v1 v2\n"
+
+
+def test_dimacs_header_checked_before_universe(capsys, tmp_path):
+    # the declared count is refused before half a million names are built
+    path = tmp_path / "wide.dimacs"
+    path.write_text("p cnf 500000 1\n1 0\n")
+    for argv in (("compile", str(path)),
+                 ("session", "new", str(tmp_path / "s.json"), "--formula", str(path),
+                  "--formalism", "dalal", "--compile")):
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: 500000 variables exceeds enumeration limit 20\n"
+        assert peak < 5 * 2**20
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--vars-limit", "a variable limit must be at least 1"),
+    ("--core-limit", "a core limit must be at least 1"),
+])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_limit_options_below_one_exit_2(capsys, gamma0_file, option, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", gamma0_file, f"{option}={value}"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_session_flow_4_1(capsys, tmp_path, gamma0_file):

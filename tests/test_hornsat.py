@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hornkit import (
     CNF,
@@ -12,7 +14,7 @@ from hornkit import (
     horn_sat,
     parse_clause,
 )
-from hornkit.generators import random_clause, random_cnf
+from hornkit.generators import random_clause, random_cnf, universe_of
 
 from oracle import clause_satisfied, models_brute
 
@@ -113,3 +115,38 @@ def test_entails_cnf_reflexive_and_examples():
     lower = cnf(XYZ, "-x", "-y", "z")
     upper = cnf(XYZ, "-x", "-y", "-z")
     assert not entails_cnf(lower, upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 8),
+       kinds=st.lists(st.sampled_from(("horn", "any", "empty", "contradiction")),
+                      max_size=8))
+def test_propagation_horn_check_matches_cnf_horn(rng, n, kinds):
+    # the propagation's setup pass is the only Horn check: it refuses
+    # exactly what CNF.horn refuses, in whatever order the clauses come and
+    # whether or not the CNF is also unsatisfiable
+    clauses = []
+    for kind in kinds:
+        if kind == "empty":
+            clauses.append(Clause())
+        elif kind == "contradiction":
+            v = rng.randrange(n)
+            clauses += [Clause.from_codes((2 * v,)), Clause.from_codes((2 * v + 1,))]
+        else:
+            clauses.append(random_clause(rng, n, max_width=4, horn=kind == "horn"))
+    rng.shuffle(clauses)
+    f = CNF(universe_of(n), clauses)
+    query = Clause() if rng.random() < 0.1 else random_clause(rng, n)
+    if not f.horn():
+        with pytest.raises(NotHorn):
+            horn_sat(f)
+        with pytest.raises(NotHorn):
+            entails(f, query)
+        return
+    brute = models_brute(f)
+    model = horn_sat(f)
+    assert (model is None) == (not brute)
+    if model is not None:
+        assert model.mask in brute
+        assert all(model.mask & m == model.mask for m in brute)
+    assert entails(f, query) == all(clause_satisfied(query, m) for m in brute)

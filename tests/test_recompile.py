@@ -300,6 +300,33 @@ def test_refusals_come_before_enumeration(monkeypatch):
             step(state, phi, allow_fallback=False)
 
 
+def test_bounds_are_not_rechecked_horn(monkeypatch):
+    # bounds are Horn where they enter and stay so; only the propagation
+    # on the way checks them, never a separate CNF.horn pass
+    rng = random.Random(29)
+    cases = []
+    for _ in range(20):
+        g = random_satisfiable_horn(rng, 8)
+        state = init_horn(g, FormalismTag.DALAL)
+        clause = contradicting_horn_clause(rng, state.lower) or random_clause(rng, 8, horn=True)
+        # the last core: a pick past the first whenever there are several
+        pick = len(fast_update(state.lower, clause, FormalismTag.DALAL)[1])
+        stepped = step(state, CNF(state.universe, (clause,)), pick=pick)
+        cases.append((g, stepped, clause, session_to_json(stepped)))
+
+    def fail(self):
+        raise AssertionError("CNF.horn walked a formula")
+
+    monkeypatch.setattr(CNF, "horn", fail)
+    for g, stepped, clause, text in cases:
+        init_horn(g, FormalismTag.DALAL)
+        query(stepped, clause)
+        check_bracket(stepped)
+        fast_update(stepped.upper, clause, FormalismTag.DALAL)
+        fast_update(stepped.lower, clause, FormalismTag.SATOH)
+        assert session_to_json(session_from_json(text)) == text
+
+
 def test_session_log_contents():
     state = init_horn(cnf(XYZ, "x"), FormalismTag.BORGIDA)
     state = step(state, cnf(XYZ, "-x y"))
