@@ -5,13 +5,14 @@ body variables forced true (and its head forced false) conjoined with a
 remainder obtained by substitution.  The updated envelope and the k
 candidate cores are then emitted directly as Horn CNF, without ever
 enumerating models; all five model-based formalisms coincide on this case.
-One propagation over the base decides the case.  Every result is built in
-canonical form, in one linear pass over the canonical base, and carries
-the canonical flag, so writing it out costs no second canonicalisation.
+One propagation over the base decides the case.  Each result is one
+canonical-form operation of formula.py on the canonical base: CNF.conjoin
+with the clause when the base is consistent with it, else condition on
+the forced literals followed by CNF.conjoin with a few added clauses.
+Each is linear and flagged canonical, so writing it out costs no second
+canonicalisation.
 """
 from __future__ import annotations
-
-from bisect import insort
 
 from .change import MODEL_BASED, FormalismTag
 from .errors import (
@@ -21,63 +22,8 @@ from .errors import (
     UnsatisfiableBase,
     UnsatisfiableUpdate,
 )
-from .formula import CNF, Clause
+from .formula import CNF, Clause, condition
 from .hornsat import entails, horn_sat
-
-
-def _merged(universe, base: list, added) -> CNF:
-    """Canonical CNF of the canonical clause list base plus added clauses
-    that stand in no subsumption relation with base or with each other."""
-    out = list(base)
-    for cl in added:
-        insort(out, cl, key=Clause.sort_key)
-    return CNF._from_canonical(universe, tuple(out))
-
-
-def _conjoin(g: CNF, phi: Clause) -> CNF:
-    """canonical(g ∧ phi) for a canonical g, in one pass over g."""
-    codes = set(phi.codes)
-    if any(codes.issuperset(cl.codes) for cl in g.clauses):
-        return g
-    # no clause of g subsumes phi, so a clause containing phi contains it
-    # properly and drops out; the rest stay subsumption-free
-    first = phi.codes[0]
-    kept = [cl for cl in g.clauses if not (first in cl.codes and codes.issubset(cl.codes))]
-    return _merged(g.universe, kept, (phi,))
-
-
-def _remainder(g: CNF, assignment: dict) -> list:
-    """Sorted canonical form of g conditioned on an assignment g entails.
-
-    g is canonical.  One pass drops the satisfied clauses, keeps the
-    untouched ones in order and collects the shortened ones.  g is
-    subsumption-free, so no untouched clause subsumes a shortened one (it
-    would properly subsume the clause that was shortened); and since g
-    entails the assignment, no clause shortens to the empty clause.  Only
-    a shortened clause can make an untouched clause redundant, and it then
-    holds the shortened clause's least literal, which indexes the test.
-    """
-    touched = {2 * v + s for v in assignment for s in (0, 1)}
-    satisfied = {2 * v + (0 if value else 1) for v, value in assignment.items()}
-    untouched, shortened = [], []
-    for cl in g.clauses:
-        if touched.isdisjoint(cl.codes):
-            untouched.append(cl)
-        elif satisfied.isdisjoint(cl.codes):
-            shortened.append(Clause.from_codes(c for c in cl.codes if c not in touched))
-    shortened = CNF(g.universe, shortened).canonical().clauses
-    if shortened:
-        by_least = {}
-        for cl in shortened:
-            by_least.setdefault(cl.codes[0], []).append(frozenset(cl.codes))
-        untouched = [
-            cl for cl in untouched
-            if by_least.keys().isdisjoint(cl.codes)
-            or not any(s.issubset(cl.codes) for c in cl.codes for s in by_least.get(c, ()))
-        ]
-        for cl in shortened:
-            insort(untouched, cl, key=Clause.sort_key)
-    return untouched
 
 
 def fast_update(g: CNF, phi: Clause, tag: FormalismTag):
@@ -113,12 +59,12 @@ def fast_update(g: CNF, phi: Clause, tag: FormalismTag):
         if tag is FormalismTag.WINSLETT:
             raise NeedsSemanticFallback(
                 "winslett prefers the projection even when base and clause agree")
-        combined = _conjoin(g, phi)
+        combined = g.conjoin((phi,))
         return combined, [combined]
 
     # base contradicts the clause: every body variable is forced true and
     # the head (if any) false, so the remainder drops out by substitution
-    remainder = _remainder(g, {**dict.fromkeys(body, True), **dict.fromkeys(heads, False)})
+    remainder = condition(g, {**dict.fromkeys(body, True), **dict.fromkeys(heads, False)})
     # ¬h ∨ i for each body variable i: wherever the head holds, so does i
     back = {i: [Clause.from_codes((2 * h + 1, 2 * i)) for h in heads] for i in body}
     envelope_added = [cl for i in body for cl in back[i]] + [phi]
@@ -131,14 +77,12 @@ def fast_update(g: CNF, phi: Clause, tag: FormalismTag):
         + [Clause.from_codes([2 * i + 1] + [2 * h for h in heads])]
         for i in body
     ] or [envelope_added]
-    # Canonical forms: an added list E mentions only assigned variables,
-    # the remainder R none, R has no empty clause and no clause of E
-    # subsumes another.  So canonical(R ∪ E) is R with E merged in by sort
-    # key.  Canonical core order: all Es have one size, so these merged
-    # lists compare as the sorted Es.
+    # Canonical core order: an added list E mentions only assigned
+    # variables, the remainder R none, and no clause of E subsumes
+    # another, so R.conjoin(E) is R with all of E merged in by sort key.
+    # All Es have one size, so these merged lists compare as the sorted Es.
     cores_added.sort(key=lambda added: sorted(map(Clause.sort_key, added)))
-    return (_merged(g.universe, remainder, envelope_added),
-            [_merged(g.universe, remainder, a) for a in cores_added])
+    return remainder.conjoin(envelope_added), [remainder.conjoin(a) for a in cores_added]
 
 
 def pick_core(cores: list, pick: int) -> CNF:

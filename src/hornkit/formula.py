@@ -9,6 +9,7 @@ variable index), so a Horn implication reads antecedents-then-head.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,8 +32,8 @@ class VarUniverse:
         if not names:
             raise ValueError("a universe needs at least one variable")
         for name in names:
-            if (not name) or name.startswith("-") or name.startswith("#") \
-                    or any(ch.isspace() for ch in name):
+            if not isinstance(name, str) or not name or name.startswith("-") \
+                    or name.startswith("#") or any(ch.isspace() for ch in name):
                 raise ValueError(f"bad variable name: {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
@@ -168,8 +169,9 @@ class CNF:
 
     An empty clause list denotes truth; a CNF containing the empty clause
     denotes falsity.  Values are immutable; canonical() returns the sorted,
-    subsumption-free form.  A CNF built as canonical carries a private flag
-    that makes canonical() return it as is; equality and hashing ignore it.
+    subsumption-free form.  The CNFs that canonical(), conjoin and
+    condition return carry a private flag that makes canonical() return
+    them as is; equality and hashing ignore it.
     """
 
     __slots__ = ("universe", "clauses", "_canonical")
@@ -244,6 +246,45 @@ class CNF:
         # the result then walks memory in order, not in the input's order
         return CNF._from_canonical(
             self.universe, tuple(Clause.from_codes(cl.codes) for cl in kept))
+
+    def conjoin(self, clauses) -> "CNF":
+        """Canonical form of self and clauses conjoined, in one pass over
+        self.canonical().
+
+        Only a clause of self that shares a literal with an added clause
+        can subsume it or be subsumed by it, so only those are tested;
+        the rest keep their order and objects.  The added clauses that
+        survive are merged in by sort key.
+        """
+        base = self.canonical()
+        extra = CNF(self.universe, clauses).canonical()
+        added = extra.clauses
+        if not added or (base.clauses and not base.clauses[0].codes):
+            return base
+        if not added[0].codes:
+            return extra
+        literals = set().union(*(cl.codes for cl in added))
+        alive = [frozenset(cl.codes) for cl in added]
+        kept = []
+        for cl in base.clauses:
+            if literals.isdisjoint(cl.codes):
+                kept.append(cl)
+                continue
+            for i, codes in enumerate(alive):
+                if codes is None:
+                    continue
+                if codes.issuperset(cl.codes):
+                    alive[i] = None
+                elif codes.issubset(cl.codes):
+                    # cl drops out; it subsumes no added clause, or that
+                    # one would contain the one that subsumes cl
+                    break
+            else:
+                kept.append(cl)
+        for cl, codes in zip(added, alive):
+            if codes is not None:
+                insort(kept, cl, key=Clause.sort_key)
+        return CNF._from_canonical(self.universe, tuple(kept))
 
     def one_line(self) -> str:
         """Single-line rendering: bare unit literals, parenthesized wider clauses."""
@@ -338,33 +379,29 @@ def negate_clause(clause: Clause) -> list:
 
 
 def condition(cnf: CNF, assignment) -> CNF:
-    """Substitute fixed truth values into a CNF.
+    """Substitute fixed truth values into a CNF; the result is canonical
+    and flagged so.
 
     Clauses with a satisfied literal are dropped, falsified literals are
     removed from the rest; a clause losing all literals becomes the empty
-    clause.  The result mentions no assigned variable.
+    clause.  The result mentions no assigned variable.  One pass over
+    cnf.canonical() keeps the untouched clauses in order and conjoins the
+    shortened ones back in.
     """
     n = len(cnf.universe)
-    fixed = {}
+    satisfied = set()
     for var, value in assignment.items():
         if not 0 <= var < n:
             raise UnknownVariable(f"variable index {var} outside universe of size {n}")
-        fixed[var] = bool(value)
-    out = []
-    for cl in cnf.clauses:
-        satisfied = False
-        keep = []
-        for code in cl.codes:
-            var = code >> 1
-            if var in fixed:
-                if (not code & 1) == fixed[var]:
-                    satisfied = True
-                    break
-            else:
-                keep.append(code)
-        if not satisfied:
-            out.append(Clause.from_codes(keep))
-    return CNF(cnf.universe, tuple(out))
+        satisfied.add(2 * var + (0 if value else 1))
+    touched = satisfied | {code ^ 1 for code in satisfied}
+    untouched, shortened = [], []
+    for cl in cnf.canonical().clauses:
+        if touched.isdisjoint(cl.codes):
+            untouched.append(cl)
+        elif satisfied.isdisjoint(cl.codes):
+            shortened.append(Clause.from_codes(c for c in cl.codes if c not in touched))
+    return CNF._from_canonical(cnf.universe, tuple(untouched)).conjoin(shortened)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +409,12 @@ def condition(cnf: CNF, assignment) -> CNF:
 
 
 def read_text(path) -> str:
-    """A file's text; a file that cannot be read raises ParseError."""
+    """A file's text; a file that cannot be read, or is not UTF-8 text,
+    raises ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return fp.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

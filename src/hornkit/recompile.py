@@ -201,13 +201,23 @@ def _cnf_to_json(cnf: CNF):
     return [cl.tokens(cnf.universe) for cl in cnf.canonical().clauses]
 
 
-def _cnf_from_json(data, universe: VarUniverse) -> CNF:
-    clauses = tuple(parse_clause(" ".join(tokens), universe) for tokens in data)
-    return CNF(universe, clauses)
+def _json_list(data, name: str) -> list:
+    if not isinstance(data, list):
+        raise ParseError(f"bad session file: {name} is not a list")
+    return data
+
+
+def _cnf_from_json(data, universe: VarUniverse, name: str) -> CNF:
+    """A CNF from a list of clauses, each a list of one-literal strings."""
+    if not all(isinstance(tokens, list)
+               and all(isinstance(t, str) and t.split() == [t] for t in tokens)
+               for tokens in _json_list(data, name)):
+        raise ParseError(f"bad session file: {name} is not a list of lists of literals")
+    return CNF(universe, tuple(parse_clause(" ".join(tokens), universe) for tokens in data))
 
 
 def _bound_from_json(data, universe: VarUniverse, name: str) -> CNF:
-    bound = _cnf_from_json(data, universe)
+    bound = _cnf_from_json(data, universe, f"{name} bound")
     try:
         least = horn_sat(bound)
     except NotHorn:
@@ -226,7 +236,7 @@ def _record_from_json(rec, universe: VarUniverse) -> StepRecord:
         raise ParseError(f"bad session file: bad core_pick {core_pick!r}")
     if gap is not None and (type(gap) is not int or gap < 0):
         raise ParseError(f"bad session file: bad gap {gap!r}")
-    return StepRecord(_cnf_from_json(rec["phi"], universe), path, core_pick, gap)
+    return StepRecord(_cnf_from_json(rec["phi"], universe, "log phi"), path, core_pick, gap)
 
 
 def session_to_json(state: BeliefState) -> str:
@@ -257,11 +267,12 @@ def session_from_json(text: str) -> BeliefState:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad session file: {exc}") from exc
     try:
-        universe = VarUniverse(doc["vars"])
+        universe = VarUniverse(_json_list(doc["vars"], "vars"))
         formalism = _require_model_based(doc["formalism"])
         lower = _bound_from_json(doc["lower"], universe, "lower")
         upper = _bound_from_json(doc["upper"], universe, "upper")
-        log = tuple(_record_from_json(rec, universe) for rec in doc.get("log", ()))
+        log = tuple(_record_from_json(rec, universe)
+                    for rec in _json_list(doc.get("log", []), "log"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad session file: {exc}") from exc
     return BeliefState(universe, lower, upper, formalism, log)

@@ -6,6 +6,8 @@ they are checking.
 """
 from itertools import combinations
 
+from hornkit import CNF, Clause
+
 
 def clause_satisfied(clause, mask):
     for lit in clause.literals:
@@ -16,6 +18,18 @@ def clause_satisfied(clause, mask):
 
 def cnf_satisfied(cnf, mask):
     return all(clause_satisfied(cl, mask) for cl in cnf.clauses)
+
+
+def condition_in_order(cnf, assignment):
+    """Substitution clause by clause, in the input's order and left
+    uncanonicalised: satisfied clauses drop, falsified literals go."""
+    out = []
+    for cl in cnf.clauses:
+        if any((not code & 1) == bool(assignment[code >> 1])
+               for code in cl.codes if code >> 1 in assignment):
+            continue
+        out.append(Clause.from_codes(c for c in cl.codes if c >> 1 not in assignment))
+    return CNF(cnf.universe, out)
 
 
 def models_brute(cnf):

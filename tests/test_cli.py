@@ -341,9 +341,18 @@ def _session_doc(**changes):
     _session_doc(record={"gap": "lots"}),
     _session_doc(record={"gap": False}),
     _session_doc(record={"gap": -3}),
+    _session_doc(vars=["x", 1]),
+    _session_doc(vars="xy"),
+    _session_doc(lower="x"),
+    _session_doc(upper=[["x"], "y"]),
+    _session_doc(upper=[["-x -y"]]),
+    _session_doc(record={"phi": "x"}),
+    _session_doc(log={}),
 ], ids=["lower-not-horn", "upper-not-horn", "lower-unsat", "upper-empty-clause",
         "path", "core-pick-text", "core-pick-negative", "core-pick-bool",
-        "gap-text", "gap-bool", "gap-negative"])
+        "gap-text", "gap-bool", "gap-negative", "vars-number", "vars-text",
+        "lower-text", "upper-clause-text", "upper-two-literal-token", "phi-text",
+        "log-object"])
 def test_invalid_session_file_exits_2(capsys, tmp_path, doc):
     state = tmp_path / "s.json"
     state.write_text(json.dumps(doc))
@@ -354,6 +363,21 @@ def test_invalid_session_file_exits_2(capsys, tmp_path, doc):
         assert code == 2
         assert err.startswith("error: bad session file") and err.count("\n") == 1
     assert json.loads(state.read_text()) == doc
+
+
+@pytest.mark.parametrize("argv", [
+    ("compile", "F"),
+    ("query", "F", "--clause", "x"),
+    ("update", "F", "--clause", "x"),
+    ("reduce", "transversal", "F"),
+], ids=["compile", "query", "update", "reduce"])
+def test_undecodable_file_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"vars x\n\xff\xfe\n")
+    code = main([str(path) if arg == "F" else arg for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot read {path}") and err.count("\n") == 1
 
 
 def test_valid_session_doc_loads(capsys, tmp_path):

@@ -13,7 +13,6 @@ from hornkit import (
     UnsatisfiableUpdate,
     VarUniverse,
     and_closure,
-    condition,
     enumerate_models,
     fast_update,
     fast_update_pick,
@@ -24,7 +23,7 @@ from hornkit import (
 from hornkit.change import MODEL_BASED
 from hornkit.generators import contradicting_horn_clause, random_clause, random_satisfiable_horn
 
-from oracle import closure_brute, is_closed_brute, models_brute
+from oracle import closure_brute, condition_in_order, is_closed_brute, models_brute
 
 TAGS = sorted(MODEL_BASED, key=lambda t: t.value)
 U5 = VarUniverse(("x", "y", "z", "w", "v"))
@@ -199,7 +198,7 @@ def _reference_fast_update(g, phi):
     assignment = {v: True for v in body}
     if head is not None:
         assignment[head] = False
-    remainder = condition(g, assignment)
+    remainder = condition_in_order(g, assignment)
     if head is None:
         envelope = remainder.extend((phi,)).canonical()
         cores = []

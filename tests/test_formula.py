@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hornkit import (
@@ -24,7 +24,7 @@ from hornkit import (
 from hornkit.generators import random_cnf
 from hornkit.semantics import enumerate_models
 
-from oracle import models_brute
+from oracle import condition_in_order, models_brute
 
 XYZ = VarUniverse(("x", "y", "z"))
 
@@ -92,17 +92,19 @@ def test_cnf_canonical_empty_clause_wins():
 
 
 def test_canonical_flag():
-    # canonical() returns a flagged CNF, and a flagged CNF is its own
-    # canonical form; every other construction leaves the flag unset
+    # canonical(), conjoin and condition return a flagged CNF, and a
+    # flagged CNF is its own canonical form; every other construction
+    # leaves the flag unset
     fresh = CNF(XYZ, (cl("y"), cl("-x z")))
     canon = fresh.canonical()
     assert canon.clauses == fresh.clauses and canon is not fresh
     assert canon.canonical() is canon
     assert CNF(XYZ, (cl("x"), Clause())).canonical().canonical().clauses == (Clause(),)
-    for unflagged in (CNF(XYZ, canon.clauses), canon.extend(()),
-                      condition(canon, {1: 0}), condition(canon, {})):
+    for unflagged in (CNF(XYZ, canon.clauses), canon.extend(())):
         assert unflagged.canonical() is not unflagged
         assert unflagged.canonical() == unflagged.canonical().canonical()
+    for flagged in (condition(canon, {1: 0}), condition(canon, {}), fresh.conjoin(())):
+        _assert_canonical(flagged)
     # equality and hashing ignore the flag
     copy = CNF(XYZ, canon.clauses)
     assert copy == canon and hash(copy) == hash(canon)
@@ -143,6 +145,80 @@ def test_condition_model_correspondence():
         assert bool(models_brute(conditioned)) == bool(extending)
         for clause in conditioned.clauses:
             assert not (set(clause.pos_vars()) | set(clause.neg_vars())) & set(fixed)
+
+
+def clauses(n):
+    """Clauses of at most four literals over variables 0..n-1."""
+    return st.dictionaries(st.integers(0, n - 1), st.booleans(), max_size=min(n, 4)).map(
+        lambda signs: Clause.from_codes(2 * v + (0 if s else 1) for v, s in signs.items()))
+
+
+@st.composite
+def cnfs(draw):
+    """A CNF of up to eight such clauses over 1..8 variables."""
+    n = draw(st.integers(1, 8))
+    return CNF(VarUniverse(tuple(f"v{i}" for i in range(n))),
+               draw(st.lists(clauses(n), max_size=8)))
+
+
+def _assert_canonical(r):
+    assert r.canonical() is r
+    assert CNF(r.universe, r.clauses).canonical().clauses == r.clauses
+
+
+@st.composite
+def bases_and_added(draw):
+    """A base CNF and clauses to conjoin to it: copies of base clauses,
+    clauses that properly subsume or are subsumed by one, random ones,
+    and sometimes the empty clause."""
+    g = draw(cnfs())
+    n = len(g.universe)
+    added = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("duplicate", "subsuming", "subsumed", "random")), max_size=4)):
+        codes = list(draw(st.sampled_from(g.clauses)).codes) if g.clauses else []
+        if kind == "subsuming" and codes:
+            codes.pop(draw(st.integers(0, len(codes) - 1)))
+        elif kind == "subsumed":
+            free = [v for v in range(n) if v not in {c >> 1 for c in codes}]
+            if free:
+                codes.append(2 * draw(st.sampled_from(free)) + draw(st.integers(0, 1)))
+        elif kind == "random":
+            codes = draw(clauses(n)).codes
+        added.append(Clause.from_codes(codes))
+    if draw(st.integers(0, 9)) == 0:
+        added.insert(draw(st.integers(0, len(added))), Clause())
+    return g, added
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=bases_and_added())
+def test_conjoin_is_canonical_extend(case):
+    g, added = case
+    want = g.extend(added).canonical()
+    for base in (g.canonical(), g):
+        got = base.conjoin(added)
+        assert got.clauses == want.clauses
+        _assert_canonical(got)
+
+
+@st.composite
+def cnfs_and_assignments(draw):
+    g = draw(cnfs())
+    n = len(g.universe)
+    return g, draw(st.dictionaries(st.integers(0, n - 1), st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cnfs_and_assignments())
+@example(case=(CNF(XYZ, (cl("x y"), cl("-x z"), cl("z"))), {0: False, 1: False}))
+def test_condition_is_canonical_in_order_condition(case):
+    g, assignment = case
+    want = condition_in_order(g, assignment).canonical()
+    for base in (g.canonical(), g):
+        got = condition(base, assignment)
+        assert got.clauses == want.clauses
+        _assert_canonical(got)
 
 
 def test_negate_clause():
@@ -207,6 +283,8 @@ def test_universe_validation():
         VarUniverse(("x", "x"))
     with pytest.raises(ValueError):
         VarUniverse(("-bad",))
+    with pytest.raises(ValueError):
+        VarUniverse(("x", 1))
 
 
 @settings(max_examples=200, deadline=None)
