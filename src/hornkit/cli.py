@@ -143,8 +143,8 @@ def cmd_query(args) -> int:
 def cmd_session_new(args) -> int:
     limits = _limits(args)
     # only compilation enumerates; init_horn takes a Horn base of any size
-    max_vars = limits.enumeration_vars if args.compile else None
-    cnf = parse_formula(read_text(args.formula), args.format, max_vars)
+    cnf = parse_formula(read_text(args.formula), args.format, limits.enumeration_vars,
+                        horn_exempt=not args.compile)
     tag = FormalismTag(args.formalism)
     if cnf.horn() and not args.compile:
         state = init_horn(cnf, tag)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     EmptyClause,
@@ -25,7 +26,7 @@ from .errors import (
 class VarUniverse:
     """Fixed, ordered collection of distinct variable names."""
 
-    __slots__ = ("names", "index", "_codes")
+    __slots__ = ("names", "index", "_codes", "_json_names")
 
     def __init__(self, names):
         names = tuple(names)
@@ -40,6 +41,7 @@ class VarUniverse:
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
         self._codes = None
+        self._json_names = None
 
     def __len__(self):
         return len(self.names)
@@ -51,6 +53,13 @@ class VarUniverse:
         if self._codes is None:
             self._codes = tuple(range(2 * len(self.names)))
         return self._codes
+
+    def _json_name_table(self) -> tuple:
+        """Every name as a JSON string token, ASCII-escaped as json.dumps
+        writes it, indexed by variable; built on first use."""
+        if self._json_names is None:
+            self._json_names = tuple(map(encode_basestring_ascii, self.names))
+        return self._json_names
 
     def __eq__(self, other):
         return isinstance(other, VarUniverse) and self.names == other.names
@@ -92,18 +101,23 @@ class Clause:
     """Disjunction of literals, at most one literal per variable.
 
     The empty clause is allowed and denotes falsity.  Tautological input
-    (x together with -x) is rejected at construction.
+    (x together with -x) is rejected at construction.  The session writer
+    keeps the clause's JSON text in _json, for the universe in
+    _json_universe: a clause shared by two bounds, or kept by a step, is
+    encoded once.
     """
 
-    __slots__ = ("codes",)
+    __slots__ = ("codes", "_json", "_json_universe")
 
     def __init__(self, literals=()):
         self.codes = _normalize_codes(lit.code for lit in literals)
+        self._json = self._json_universe = None
 
     @classmethod
     def from_codes(cls, codes) -> "Clause":
         cl = object.__new__(cls)
         cl.codes = _normalize_codes(codes)
+        cl._json = cl._json_universe = None
         return cl
 
     @property
@@ -441,11 +455,13 @@ def parse_symbolic(text: str) -> CNF:
     return CNF(universe, tuple(clauses))
 
 
-def parse_dimacs(text: str, max_vars: int | None = None) -> CNF:
+def parse_dimacs(text: str, max_vars: int | None = None, horn_exempt: bool = False) -> CNF:
     """DIMACS CNF: 'p cnf n m' header, signed integers, 0-terminated clauses.
 
     Variable i is named v<i>.  A header count above max_vars raises
-    UniverseTooLarge after any parse error, before the universe is built.
+    UniverseTooLarge after any parse error, before the universe is built;
+    with horn_exempt, only when some clause is not Horn, for a caller
+    that enumerates only such formulas.
     """
     nvars = None
     literal_tokens = []
@@ -487,23 +503,26 @@ def parse_dimacs(text: str, max_vars: int | None = None) -> CNF:
     if current:
         clauses.append(current)
     clauses = tuple(Clause.from_codes(c) for c in clauses)
-    if max_vars is not None and nvars > max_vars:
+    if max_vars is not None and nvars > max_vars \
+            and not (horn_exempt and all(cl.horn() for cl in clauses)):
         raise UniverseTooLarge(f"{nvars} variables exceeds enumeration limit {max_vars}")
     return CNF(VarUniverse(tuple(f"v{i}" for i in range(1, nvars + 1))), clauses)
 
 
-def parse_formula(text: str, fmt: str = "auto", max_vars: int | None = None) -> CNF:
-    """A symbolic or DIMACS formula; max_vars bounds a DIMACS header."""
+def parse_formula(text: str, fmt: str = "auto", max_vars: int | None = None,
+                  horn_exempt: bool = False) -> CNF:
+    """A symbolic or DIMACS formula; max_vars bounds a DIMACS header, as
+    parse_dimacs applies it."""
     if fmt == "sym":
         return parse_symbolic(text)
     if fmt == "dimacs":
-        return parse_dimacs(text, max_vars)
+        return parse_dimacs(text, max_vars, horn_exempt)
     if fmt != "auto":
         raise ValueError(f"unknown format {fmt!r}")
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("p ") or line.startswith("p\t"):
-            return parse_dimacs(text, max_vars)
+            return parse_dimacs(text, max_vars, horn_exempt)
     return parse_symbolic(text)
 
 

@@ -10,6 +10,17 @@ surfaced, never repaired.  Both bounds are satisfiable Horn formulas, checked
 Horn where they enter and kept Horn by every step.  A fast step builds them
 in canonical form, flagged so; a session is written, and the bracket
 checked, in canonical form, which costs nothing then.
+
+A session file is json.dumps(doc, indent=2) of one document, but neither
+side runs the JSON encoder's indenting pure-Python path.  The writer
+lays the text out itself: names are encoded once per universe with the C
+string encoder, and each bound clause's text is kept on the clause for
+the universe it was written in, so the clauses that both bounds and
+successive steps share are encoded once.  The reader maps tokens to codes
+through the universe's name index and reads a token list that repeats
+between the bounds into one clause; any token or clause it cannot take
+sends that list through the checking parser, which raises the same error
+it always raised.
 """
 from __future__ import annotations
 
@@ -24,6 +35,7 @@ from .errors import (
     NeedsSemanticFallback,
     NotHorn,
     ParseError,
+    TautologicalClause,
     UniverseMismatch,
     UnsatisfiableBase,
     UnsatisfiableUpdate,
@@ -197,8 +209,57 @@ def check_bracket(state: BeliefState) -> bool:
 # session files
 
 
-def _cnf_to_json(cnf: CNF):
-    return [cl.tokens(cnf.universe) for cl in cnf.canonical().clauses]
+def _array(items, depth: int) -> str:
+    """A JSON array of already encoded items whose elements sit at the
+    given depth, laid out as json.dumps(indent=2) lays it out."""
+    if not items:
+        return "[]"
+    indent = "\n" + "  " * depth
+    return f"[{indent}{(',' + indent).join(items)}\n{'  ' * (depth - 1)}]"
+
+
+def _clause_json(clause: Clause, names: tuple, depth: int) -> str:
+    """A clause's tokens (body first, as Clause.tokens) at depth, from the
+    encoded names: a '-' needs no escape, so '"-x"' is '"-' + 'x"'."""
+    codes = clause.codes
+    return _array(['"-' + names[c >> 1][1:] for c in codes if c & 1]
+                  + [names[c >> 1] for c in codes if not c & 1], depth)
+
+
+def _bound_json(cnf: CNF) -> str:
+    """A bound's canonical clauses; each clause is encoded once per
+    universe and kept on the clause, which both bounds and later steps
+    share."""
+    universe = cnf.universe
+    names = universe._json_name_table()
+    parts = []
+    for cl in cnf.canonical().clauses:
+        if cl._json_universe is not universe:
+            cl._json = _clause_json(cl, names, 3)
+            cl._json_universe = universe
+        parts.append(cl._json)
+    return _array(parts, 2)
+
+
+def _record_json(rec: StepRecord) -> str:
+    phi = rec.phi.canonical()
+    names = phi.universe._json_name_table()
+    return (f'{{\n      "phi": {_array([_clause_json(cl, names, 5) for cl in phi.clauses], 4)},'
+            f'\n      "path": {json.dumps(rec.path)},'
+            f'\n      "core_pick": {json.dumps(rec.core_pick)},'
+            f'\n      "gap": {json.dumps(rec.gap)}\n    }}')
+
+
+def session_to_json(state: BeliefState) -> str:
+    """Canonical JSON text for a belief state; identical runs are
+    byte-identical.  The text is json.dumps(doc, indent=2) of the
+    document {vars, formalism, lower, upper, log}, written directly."""
+    names = state.universe._json_name_table()
+    return (f'{{\n  "vars": {_array(names, 2)},'
+            f'\n  "formalism": {json.dumps(state.formalism.value)},'
+            f'\n  "lower": {_bound_json(state.lower)},'
+            f'\n  "upper": {_bound_json(state.upper)},'
+            f'\n  "log": {_array([_record_json(rec) for rec in state.log], 2)}\n}}\n')
 
 
 def _json_list(data, name: str) -> list:
@@ -207,8 +268,9 @@ def _json_list(data, name: str) -> list:
     return data
 
 
-def _cnf_from_json(data, universe: VarUniverse, name: str) -> CNF:
-    """A CNF from a list of clauses, each a list of one-literal strings."""
+def _checked_cnf_from_json(data, universe: VarUniverse, name: str) -> CNF:
+    """A CNF from a list of clauses, each a list of one-literal strings,
+    with every type checked before any clause is parsed."""
     if not all(isinstance(tokens, list)
                and all(isinstance(t, str) and t.split() == [t] for t in tokens)
                for tokens in _json_list(data, name)):
@@ -216,8 +278,32 @@ def _cnf_from_json(data, universe: VarUniverse, name: str) -> CNF:
     return CNF(universe, tuple(parse_clause(" ".join(tokens), universe) for tokens in data))
 
 
-def _bound_from_json(data, universe: VarUniverse, name: str) -> CNF:
-    bound = _cnf_from_json(data, universe, f"{name} bound")
+def _cnf_from_json(data, universe: VarUniverse, name: str, seen: dict) -> CNF:
+    """_checked_cnf_from_json through the universe's name index; a token
+    list already in seen (read earlier in the file) gives the same Clause.
+    A token the index misses, or a clause from_codes refuses, sends the
+    whole list through _checked_cnf_from_json, which raises its error."""
+    index, shared = universe.index, universe._code_table()
+    clauses = []
+    try:
+        for tokens in _json_list(data, name):
+            if not isinstance(tokens, list):
+                raise TypeError
+            key = tuple(tokens)
+            clause = seen.get(key)
+            if clause is None:
+                # no name starts with '-', so a '-' token is a negative literal
+                clause = seen[key] = Clause.from_codes([
+                    shared[2 * index[t[1:]] + 1] if t[:1] == "-" else shared[2 * index[t]]
+                    for t in tokens])
+            clauses.append(clause)
+    except (KeyError, TypeError, TautologicalClause):
+        return _checked_cnf_from_json(data, universe, name)
+    return CNF(universe, tuple(clauses))
+
+
+def _bound_from_json(data, universe: VarUniverse, name: str, seen: dict) -> CNF:
+    bound = _cnf_from_json(data, universe, f"{name} bound", seen)
     try:
         least = horn_sat(bound)
     except NotHorn:
@@ -227,7 +313,7 @@ def _bound_from_json(data, universe: VarUniverse, name: str) -> CNF:
     return bound
 
 
-def _record_from_json(rec, universe: VarUniverse) -> StepRecord:
+def _record_from_json(rec, universe: VarUniverse, seen: dict) -> StepRecord:
     path, core_pick, gap = rec["path"], rec["core_pick"], rec.get("gap")
     if path not in ("fast", "semantic"):
         raise ParseError(f"bad session file: unknown path {path!r}")
@@ -236,27 +322,7 @@ def _record_from_json(rec, universe: VarUniverse) -> StepRecord:
         raise ParseError(f"bad session file: bad core_pick {core_pick!r}")
     if gap is not None and (type(gap) is not int or gap < 0):
         raise ParseError(f"bad session file: bad gap {gap!r}")
-    return StepRecord(_cnf_from_json(rec["phi"], universe, "log phi"), path, core_pick, gap)
-
-
-def session_to_json(state: BeliefState) -> str:
-    """Canonical JSON text for a belief state; identical runs are byte-identical."""
-    doc = {
-        "vars": list(state.universe.names),
-        "formalism": state.formalism.value,
-        "lower": _cnf_to_json(state.lower),
-        "upper": _cnf_to_json(state.upper),
-        "log": [
-            {
-                "phi": _cnf_to_json(rec.phi),
-                "path": rec.path,
-                "core_pick": rec.core_pick,
-                "gap": rec.gap,
-            }
-            for rec in state.log
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return StepRecord(_cnf_from_json(rec["phi"], universe, "log phi", seen), path, core_pick, gap)
 
 
 def session_from_json(text: str) -> BeliefState:
@@ -269,9 +335,10 @@ def session_from_json(text: str) -> BeliefState:
     try:
         universe = VarUniverse(_json_list(doc["vars"], "vars"))
         formalism = _require_model_based(doc["formalism"])
-        lower = _bound_from_json(doc["lower"], universe, "lower")
-        upper = _bound_from_json(doc["upper"], universe, "upper")
-        log = tuple(_record_from_json(rec, universe)
+        seen = {}
+        lower = _bound_from_json(doc["lower"], universe, "lower", seen)
+        upper = _bound_from_json(doc["upper"], universe, "upper", seen)
+        log = tuple(_record_from_json(rec, universe, seen)
                     for rec in _json_list(doc.get("log", []), "log"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad session file: {exc}") from exc

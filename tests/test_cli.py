@@ -120,6 +120,30 @@ def test_dimacs_header_checked_before_universe(capsys, tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_session_new_limits_only_dimacs_it_enumerates(capsys, tmp_path):
+    # not Horn, so init_compile would enumerate: refused before the universe
+    state = tmp_path / "s.json"
+    path = tmp_path / "wide.dimacs"
+    path.write_text("p cnf 500000 1\n1 2 0\n")
+    tracemalloc.start()
+    try:
+        code = main(["session", "new", str(state), "--formula", str(path),
+                     "--formalism", "dalal"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (
+        3, "error: 500000 variables exceeds enumeration limit 20\n")
+    assert peak < 5 * 2**20
+    assert not state.exists()
+    # Horn, so init_horn takes it past the enumeration limit
+    path.write_text("p cnf 30 2\n1 0\n-1 2 0\n")
+    code, out = run(capsys, "session", "new", str(state), "--formula", str(path),
+                    "--formalism", "dalal")
+    assert (code, out) == (0, f"initialized {state}\n")
+    assert len(json.loads(state.read_text())["vars"]) == 30
+
+
 @pytest.mark.parametrize("option, message", [
     ("--vars-limit", "a variable limit must be at least 1"),
     ("--core-limit", "a core limit must be at least 1"),

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -50,6 +51,33 @@ def test_rejects_non_horn():
         horn_sat(cnf(XY, "x y"))
     with pytest.raises(NotHorn):
         entails(cnf(XY, "x y"), parse_clause("x", XY))
+
+
+@pytest.mark.parametrize("texts, least", [
+    (("x", "-x y"), "11"),
+    (("x", "-x"), None),
+    (("x y",), NotHorn),
+], ids=["horn", "unsat", "not-horn"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_propagation_restores_gc_state(texts, least, enabled):
+    # propagation pauses the cyclic collector; it must hand back the
+    # caller's setting, also when it raises
+    base = cnf(XY, *texts)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for run in (lambda: horn_sat(base), lambda: entails(base, parse_clause("y", XY))):
+            if least is NotHorn:
+                with pytest.raises(NotHorn):
+                    run()
+            else:
+                run()
+            assert gc.isenabled() is enabled
+        if least is not NotHorn:
+            model = horn_sat(base)
+            assert (model and model.text()) == least
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_horn_sat_agrees_with_enumeration():

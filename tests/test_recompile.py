@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from dataclasses import replace
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 from hornkit import (
     CNF,
     BadIndex,
+    BeliefState,
+    Clause,
     FormalismTag,
     NeedsSemanticFallback,
     NotHorn,
     QueryVerdict,
+    StepRecord,
     UniverseTooLarge,
     UnsatisfiableBase,
     UnsatisfiableUpdate,
@@ -23,6 +27,7 @@ from hornkit import (
     init_compile,
     init_horn,
     parse_clause,
+    parse_formula,
     query,
     session_from_json,
     session_to_json,
@@ -39,7 +44,7 @@ from hornkit.generators import (
     universe_of,
 )
 
-from oracle import models_brute
+from oracle import models_brute, session_from_json_reference, session_to_json_reference
 
 XYZ = VarUniverse(("x", "y", "z"))
 TAGS = sorted(MODEL_BASED, key=lambda t: t.value)
@@ -357,3 +362,164 @@ def test_write_session_is_atomic(tmp_path, monkeypatch):
     write_session(stepped, path)
     assert path.read_text() == session_to_json(stepped)
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+# Names a session file must escape (non-ASCII, one outside the BMP, a
+# quote, a backslash, a control character) or keep as they are.
+ODD_NAMES = ("x", "é", "变量", "\U0001F600", 'q"', "b\\s", "t\x01", "a/b", "ok#")
+
+
+def _odd_names(rng, n):
+    pool = list(ODD_NAMES) + [f"v{i}" for i in range(n)]
+    rng.shuffle(pool)
+    return tuple(pool[:n])
+
+
+def _random_clauses(rng, n, count, empty=False):
+    clauses = [Clause.from_codes(2 * v + rng.randint(0, 1)
+                                 for v in rng.sample(range(n), rng.randint(1, n)))
+               for _ in range(count)]
+    if empty:
+        clauses.insert(rng.randrange(len(clauses) + 1), Clause.from_codes(()))
+    return tuple(clauses)
+
+
+name_text = st.text(st.characters(), min_size=1, max_size=4).filter(
+    lambda s: not s.startswith(("-", "#")) and not any(ch.isspace() for ch in s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       names=st.lists(name_text, min_size=1, max_size=6, unique=True),
+       shared=st.booleans(), records=st.integers(0, 3))
+def test_session_writer_matches_json_dumps(rng, names, shared, records):
+    universe = VarUniverse(names)
+    n = len(names)
+    lower = CNF(universe, _random_clauses(rng, n, rng.randint(0, 6), rng.random() < 0.1))
+    upper = lower if shared else CNF(universe, _random_clauses(rng, n, rng.randint(0, 6)))
+    log = tuple(StepRecord(CNF(universe, _random_clauses(rng, n, rng.randint(1, 3))),
+                           rng.choice(("fast", "semantic")), rng.randint(0, 3),
+                           rng.choice((None, 0, rng.randint(1, 1000))))
+                for _ in range(records))
+    state = BeliefState(universe, lower, upper, rng.choice(TAGS), log)
+    want = session_to_json_reference(state)
+    assert session_to_json(state) == want
+    # again, now from the clause texts the first write kept
+    assert session_to_json(state) == want
+
+
+def test_session_writer_examples_match_json_dumps():
+    rng = random.Random(5)
+    # past the envelope limit, so a step logs no gap
+    universe = VarUniverse(ODD_NAMES + tuple(f"v{i}" for i in range(13 - len(ODD_NAMES))))
+    n = len(universe)
+    empty = init_horn(parse_formula("p cnf 3 0\n"), FormalismTag.DALAL)
+    states = [empty, step(empty, cnf(empty.universe, "v1", "-v2 v3"))]
+    base = init_horn(random_satisfiable_horn(rng, n), FormalismTag.SATOH)
+    base = BeliefState(universe, CNF(universe, base.lower.clauses),
+                       CNF(universe, base.upper.clauses), base.formalism)
+    states.append(base)
+    for _ in range(4):
+        clause = contradicting_horn_clause(rng, states[-1].lower) \
+            or random_clause(rng, n, horn=True)
+        states.append(step(states[-1], CNF(universe, (clause,))))
+    assert [rec.path for rec in states[1].log] == ["semantic"]
+    assert states[1].log[0].core_pick == 0 and states[1].log[0].gap is not None
+    assert states[-1].log[-1].gap is None and states[-1].log[-1].core_pick >= 1
+    for state in states:
+        assert session_to_json(state) == session_to_json_reference(state)
+
+
+def test_clause_json_kept_per_universe():
+    # one clause object written under two universes, in a bound and in a
+    # logged phi: each write must spell that universe's names at its depth
+    first, second = VarUniverse(("a", "b")), VarUniverse(("é", 'q"'))
+    clause = parse_clause("-a b", first)
+    for universe in (first, second, first):
+        # a flagged CNF keeps its clause objects; canonical() would copy them
+        bound = CNF._from_canonical(universe, (clause,))
+        state = BeliefState(universe, bound, bound, FormalismTag.DALAL,
+                            (StepRecord(bound, "fast", 1, 0),))
+        assert session_to_json(state) == session_to_json_reference(state)
+        assert clause._json_universe is universe
+
+
+def _loaded(reader, text):
+    try:
+        return reader(text)
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc), str(exc)
+
+
+def _mutations(rng, doc):
+    """Copies of a session document, each broken or bent in one place."""
+    names = doc["vars"]
+    bad_tokens = [names[0] + "?", "--" + names[0], "-", "", " ", 7, None, True,
+                  [names[0]], {"x": 1}, f"{names[0]} {names[-1]}", "-" + names[0] + "\n"]
+    out = []
+    for _ in range(12):
+        mutated = json.loads(json.dumps(doc))
+        where = rng.choice(["lower", "upper"] + ["log"] * bool(mutated["log"]))
+        cnf = mutated[where] if where != "log" else rng.choice(mutated["log"])["phi"]
+        kind = rng.randrange(9)
+        if kind == 0 and cnf and cnf[0]:
+            cnf[rng.randrange(len(cnf))][0] = rng.choice(bad_tokens)
+        elif kind == 1 and cnf:
+            cnf[-1] = rng.choice(("x", 3, None, {}, [[names[0]]]))
+        elif kind == 2:
+            # both signs of one variable, or a repeated literal, perhaps
+            # before a bad token: the bad type is reported first
+            cnf.insert(rng.randrange(len(cnf) + 1),
+                       rng.choice(([names[0], "-" + names[0]], [names[0], names[0]])))
+            cnf.extend(rng.choice(([], [[rng.choice(bad_tokens)]])))
+        elif kind == 3:
+            cnf.append([rng.choice(names) for _ in range(2)])  # maybe not Horn
+        elif kind == 4:
+            cnf.insert(0, list(reversed(cnf[0])) if cnf else [])
+        elif kind == 5:
+            mutated[rng.choice(("vars", "formalism", "lower", "upper", "log"))] = \
+                rng.choice(("xy", 1, None, [], ["x", "x"], "fuv", [["x"]]))
+        elif kind == 6:
+            del mutated[rng.choice(("vars", "formalism", "lower", "upper", "log"))]
+        elif kind == 7 and mutated["log"]:
+            rec = rng.choice(mutated["log"])
+            rec[rng.choice(("path", "core_pick", "gap", "phi"))] = \
+                rng.choice(("warp", -1, True, "2", None, 2.0, [], [[]]))
+        else:
+            # a clause of the other bound, perhaps followed by a bad one
+            other = mutated["upper" if where == "lower" else "lower"]
+            cnf.extend(other[:1] + rng.choice(([], [[rng.choice(bad_tokens)]])))
+        out.append(mutated)
+    return out
+
+
+def test_session_reader_matches_reference():
+    rng = random.Random(11)
+    checked = failed = 0
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        universe = VarUniverse(_odd_names(rng, n))
+        g = random_satisfiable_horn(rng, n)
+        state = init_horn(CNF(universe, g.clauses), rng.choice(TAGS))
+        for _ in range(rng.randint(0, 4)):
+            clause = contradicting_horn_clause(rng, state.lower) \
+                or random_clause(rng, n, horn=True)
+            phi = CNF(universe, (clause,) if rng.random() < 0.7
+                      else _random_clauses(rng, n, 2))
+            try:
+                state = step(state, phi, core_mode="greedy")
+            except (BadIndex, UnsatisfiableUpdate, UniverseTooLarge):
+                pass
+        doc = json.loads(session_to_json(state))
+        for variant in [doc] + _mutations(rng, doc):
+            text = json.dumps(variant, indent=rng.choice((None, 2)))
+            got = _loaded(session_from_json, text)
+            assert got == _loaded(session_from_json_reference, text)
+            checked += 1
+            failed += isinstance(got, tuple)
+        loaded = session_from_json(session_to_json(state))
+        assert loaded == state
+        # a token list in both bounds is read into one clause
+        lower_ids = {cl.codes: id(cl) for cl in loaded.lower.clauses}
+        assert all(lower_ids.get(cl.codes, id(cl)) == id(cl) for cl in loaded.upper.clauses)
+    assert checked - failed > 100 and failed > 300
